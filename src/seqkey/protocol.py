@@ -8,8 +8,12 @@ reconciled sequence pair through the GF(2^N) multiplication hash. The
 empirical outputs are the reliability, leakage, and uniformity metrics.
 
 The reconciliation steps follow the random-coding protocol literally,
-lowest-index tie-breaks and the (1,1) fallback included. Two consequences
-at n <= 14 are worth knowing before reading any numbers:
+lowest-index tie-breaks and the (1,1) fallback included. Robust typicality
+depends only on the joint type of (x^n, u^n), so the encoder tests each
+distinct U word once, at most min(W, |U|^n) of them for a W-row codebook,
+and answers with the lowest row holding a typical word: the same index a
+scan of every row would give. Two consequences at n <= 14 are worth
+knowing before reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -39,7 +43,7 @@ from seqkey.measures import DiscreteJoint
 from seqkey.optimizer import TestChannel, rate_constraint
 
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
-MAX_U_CODEWORDS = 1 << 22  # exhaustive encoder scan budget
+MAX_U_CODEWORDS = 1 << 22  # U codebook memory budget (rows)
 MAX_V_CODEWORDS = 1 << 16  # per-bin V codebook budget
 SHUFFLE_ROUNDS = 32
 _COUNT_FUZZ = 1e-9         # absorbs float error at integer window edges
@@ -133,6 +137,33 @@ def _typical_mask(codes, pmf_flat, eps, n):
     return ok
 
 
+def _distinct_rows(codebook, base):
+    """The distinct rows of a (W, n) symbol codebook and the lowest row
+    index holding each, both ordered by that index.
+
+    Rows are keyed as base-`base` integers built column by column; before a
+    column could overflow int64 the running keys are replaced by their dense
+    ranks, which are below W. An unstable sort groups equal keys, and each
+    group's minimum row is its first; np.unique(return_index=True) needs a
+    stable sort, about four times slower at W = 176k.
+    """
+    keys = np.zeros(codebook.shape[0], dtype=np.int64)
+    span = 1
+    for col in codebook.T:
+        if span * base > np.iinfo(np.int64).max:
+            ranked, keys = np.unique(keys, return_inverse=True)
+            span = ranked.size
+        keys *= base
+        keys += col
+        span *= base
+    order = np.argsort(keys)
+    grouped = keys[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    first = np.minimum.reduceat(order, starts)
+    first.sort()
+    return codebook[first], first
+
+
 def _log_table(p):
     return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), LOG_ZERO)
 
@@ -143,6 +174,8 @@ class ReconCode:
 
     The U codebook is materialized (row r = pair (omega, nu) with
     r = omega * w_nu + nu, so row order is the lexicographic pair order).
+    Next to it sit its distinct words and the lowest row of each, so the
+    encoder tests at most min(W, |U|^n) words instead of all W rows.
     V codebooks are per-(omega, nu) and are regenerated on demand from
     their own stream key, which keeps them fixed across trials without
     materializing all of them.
@@ -158,6 +191,8 @@ class ReconCode:
     tc_rows: np.ndarray
     v_given_yu: np.ndarray          # (ny, nu, nv); nv = 1 means no V layer
     u_codebook: np.ndarray          # (w_u * w_nu, n) symbols of U
+    u_words: np.ndarray             # (D, n) distinct rows of u_codebook
+    u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
     pmf_xu: np.ndarray              # flat typicality references
     pmf_yu: np.ndarray
     pmf_uyv: np.ndarray
@@ -208,7 +243,7 @@ class ReconCode:
         if w_u * w_nu > MAX_U_CODEWORDS:
             raise InfeasibleError(
                 f"U codebook of {w_u} x {w_nu} codewords exceeds the "
-                f"exhaustive-scan budget 2^22; lower n or the rates")
+                f"codebook budget 2^22; lower n or the rates")
         if w_k * w_l > MAX_V_CODEWORDS:
             raise InfeasibleError(
                 f"V codebook of {w_k} x {w_l} codewords per bin exceeds "
@@ -241,11 +276,13 @@ class ReconCode:
 
         u_codebook = _stream(seed, 0).choice(
             nu, size=(w_u * w_nu, n), p=p_u).astype(np.uint8)
+        u_words, u_first_rows = _distinct_rows(u_codebook, nu)
 
         return cls(
             n=n, seed=int(seed), rates=rates, w_u=w_u, w_nu=w_nu, w_k=w_k,
             w_l=w_l, tc_rows=tc_u.rows, v_given_yu=v_given_yu,
-            u_codebook=u_codebook,
+            u_codebook=u_codebook, u_words=u_words,
+            u_first_rows=u_first_rows,
             pmf_xu=p_xu.ravel(), pmf_yu=p_yu.ravel(),
             pmf_uyv=p_uyv.ravel(), pmf_xuv=p_xuv.ravel(),
             ll_y_given_u=_log_table(cond_y_u),
@@ -256,7 +293,10 @@ class ReconCode:
 
     def v_codebook(self, omega_idx, nu_idx):
         """(w_k * w_l, n) V codewords of bin (omega, nu), symbols drawn
-        conditionally on that bin's U codeword."""
+        conditionally on that bin's U codeword. Without a V layer
+        (nv = 1) every symbol is 0."""
+        if self.nv_size == 1:
+            return np.zeros((self.w_k * self.w_l, self.n), dtype=np.uint8)
         u_row = self.u_codebook[omega_idx * self.w_nu + nu_idx]
         rng = _stream(self.seed, 2, omega_idx, nu_idx)
         r = rng.random((self.w_k * self.w_l, self.n))
@@ -285,11 +325,13 @@ class ReconcileResult:
 
 
 def _encode_alice(x, code):
+    """(omega, nu, found) of the lowest codebook row whose word is jointly
+    typical with x, or (0, 0, False) when no word is."""
     nu = code.nu_size
-    codes = x.astype(np.int16)[None, :] * nu + code.u_codebook
+    codes = x.astype(np.int16)[None, :] * nu + code.u_words
     mask = _typical_mask(codes, code.pmf_xu, code.rates.eps, code.n)
     if mask.any():
-        flat = int(np.argmax(mask))
+        flat = int(code.u_first_rows[np.argmax(mask)])
         return flat // code.w_nu, flat % code.w_nu, True
     return 0, 0, False
 
@@ -511,7 +553,16 @@ def leakage_estimate(keys, views, rng, shuffles=SHUFFLE_ROUNDS):
 
 
 def run_experiment(j, tc_u, params, v_given_yu=None):
-    """End-to-end experiment; deterministic in (params.seed, params)."""
+    """End-to-end experiment; deterministic in (params.seed, params).
+
+    The eavesdropper decodes by running Bob's procedure on z, so Z must
+    share Y's alphabet.
+    """
+    ny, nz = j.dims[1], j.dims[2]
+    if nz != ny:
+        raise ParameterError(
+            f"eavesdropper alphabet |Z| = {nz} differs from |Y| = {ny}; "
+            "her decoder runs Bob's procedure on z")
     code = ReconCode.generate(
         j, tc_u, n=params.n, epsilon=params.epsilon, seed=params.seed,
         v_given_yu=v_given_yu, rates=params.rates)
@@ -537,8 +588,6 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
                 chunks.append(((v_s[:, None] >> shifts) & 1).ravel())
         return np.concatenate(chunks).astype(np.uint8)
 
-    nz = j.dims[2]
-    ny = j.dims[1]
     errors = 0
     encode_hits = 0
     decode_hits = 0
@@ -562,22 +611,18 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
             sh_v.append(res.shat_v)
             encode_hits += res.alice_found
             decode_hits += res.bob_found
-            if nz == ny:
-                e_u, _, _, e_v, _ = _decode_bob(
-                    zs[blk], res.a_msg - 1, code, params.decoder)
-                eve_u.append(e_u)
-                eve_v.append(e_v)
+            e_u, _, _, e_v, _ = _decode_bob(
+                zs[blk], res.a_msg - 1, code, params.decoder)
+            eve_u.append(e_u)
+            eve_v.append(e_v)
         hs = _stream(params.seed, 3, t).integers(
             0, 2, n_bits).astype(np.uint8)
         key = privacy_amplify(serialize(s_u, s_v), hs, params.k)
         key_hat = privacy_amplify(serialize(sh_u, sh_v), hs, params.k)
         errors += not np.array_equal(key, key_hat)
         key_int = _bits_to_int(key)
-        if nz == ny:
-            eve_key = _bits_to_int(
-                privacy_amplify(serialize(eve_u, eve_v), hs, params.k))
-        else:
-            eve_key = 0
+        eve_key = _bits_to_int(
+            privacy_amplify(serialize(eve_u, eve_v), hs, params.k))
         eve_hits += eve_key == key_int
         z_type = tuple(int((zs == c).sum()) for c in range(nz))
         keys_seen.append(key_int)

@@ -9,6 +9,7 @@ the literal protocol is about half of that (the chosen codeword sits at
 nu = 2 half the time while the decoder's fallback always points at 1).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,9 @@ from seqkey.protocol import (
     ProtocolParams,
     Rates,
     ReconCode,
+    _distinct_rows,
+    _encode_alice,
+    _stream,
     design_rates,
     leakage_estimate,
     privacy_amplify,
@@ -37,6 +41,19 @@ TC_ID = TestChannel.identity(2)
 def bsc_code(n, epsilon=0.15, seed=0, rates=None):
     return ReconCode.generate(J_BSC, TC_ID, n=n, epsilon=epsilon,
                               seed=seed, rates=rates)
+
+
+def _drawn_v_codebook(code, omega, nu_idx):
+    """Reference V codebook: uniforms through the cumulative p_{V|U},
+    clamped to the alphabet."""
+    u_row = code.u_codebook[omega * code.w_nu + nu_idx]
+    r = _stream(code.seed, 2, omega, nu_idx).random(
+        (code.w_k * code.w_l, code.n))
+    out = np.empty(r.shape, dtype=np.uint8)
+    for i in range(code.n):
+        out[:, i] = np.searchsorted(code.p_v_cum_by_u[u_row[i]], r[:, i],
+                                    side="right")
+    return np.minimum(out, code.nv_size - 1)
 
 
 class TestDesignRates:
@@ -92,6 +109,55 @@ class TestReconCode:
         first = code.v_codebook(2, 0)
         assert first.shape == (code.w_k * code.w_l, 4)
         assert np.array_equal(first, code.v_codebook(2, 0))
+        frozen = {
+            (2, 0): "8db2bb4d45cdeefc7b0a669379fc72aa"
+                    "0e0c4a21c79b2f0654f276127d8eca94",
+            (0, 1): "26907194a45389086f3086d8135b8376"
+                    "6bbb4bbc2b1eb9ce211a52c2e05c8afd",
+        }
+        for (omega, nu_idx), digest in frozen.items():
+            got = code.v_codebook(omega, nu_idx)
+            assert np.array_equal(
+                got, _drawn_v_codebook(code, omega, nu_idx))
+            assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+    def test_distinct_words_table(self):
+        code = bsc_code(12, seed=20260816)
+        words, first = np.unique(code.u_codebook, axis=0,
+                                 return_index=True)
+        order = np.argsort(first)
+        assert np.array_equal(code.u_first_rows, first[order])
+        assert np.array_equal(code.u_words, words[order])
+        assert len(code.u_first_rows) == 1 << 12
+
+    def test_distinct_rows_reranks_before_int64_overflow(self):
+        # 256^14 > 2^63: keys left to wrap mod 2^64 would keep only the
+        # last 8 symbols, on which all these rows agree
+        rng = np.random.default_rng(6)
+        pool = rng.integers(0, 256, size=(40, 14)).astype(np.uint8)
+        pool[:, 6:] = pool[0, 6:]
+        codebook = pool[rng.integers(0, 40, size=300)]
+        words, first = _distinct_rows(codebook, 256)
+        ref_words, ref_first = np.unique(codebook, axis=0,
+                                         return_index=True)
+        order = np.argsort(ref_first)
+        assert np.array_equal(first, ref_first[order])
+        assert np.array_equal(words, ref_words[order])
+
+    def test_v_codebook_without_v_layer_matches_draw(self):
+        # nv = 1: the draw-then-clamp construction always gave zeros,
+        # also when explicit rates ask for several V codewords per bin
+        wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25,
+                     eps=0.15, eps1=0.075, eps2=0.3)
+        codes = (bsc_code(8), bsc_code(8, rates=wide))
+        assert codes[1].w_k * codes[1].w_l == 16 * 4
+        for code in codes:
+            for omega, nu_idx in ((0, 0), (1, 0), (code.w_u - 1,
+                                                   code.w_nu - 1)):
+                got = code.v_codebook(omega, nu_idx)
+                assert got.dtype == np.uint8
+                assert np.array_equal(
+                    got, _drawn_v_codebook(code, omega, nu_idx))
 
     def test_budget_guard(self):
         big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0,
@@ -130,6 +196,58 @@ class TestSampleSource:
     def test_domain(self):
         with pytest.raises(ParameterError):
             sample_source(J_BSC, 0, seed=1)
+
+
+def _scan_encode(x, code):
+    """Reference encoder: test every codebook row's joint type with x and
+    take the lowest typical row."""
+    cells = code.pmf_xu.size
+    rows = code.u_codebook.shape[0]
+    codes = x.astype(np.int64)[None, :] * code.nu_size + code.u_codebook
+    counts = np.bincount(
+        (np.arange(rows)[:, None] * cells + codes).ravel(),
+        minlength=rows * cells).reshape(rows, cells)
+    lo = code.n * code.pmf_xu * (1.0 - code.rates.eps) - 1e-9
+    hi = code.n * code.pmf_xu * (1.0 + code.rates.eps) + 1e-9
+    hits = np.flatnonzero(((counts >= lo) & (counts <= hi)).all(axis=1))
+    if hits.size == 0:
+        return 0, 0, False
+    return int(hits[0]) // code.w_nu, int(hits[0]) % code.w_nu, True
+
+
+# BSC(0.2) test channel: no zero-mass (x, u) cell. At eps = 0.15 its
+# windows hold no integer count for n in {4, 8, 12}, so the rates widen eps.
+WIDE_EPS = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0,
+                 eps=0.5, eps1=0.25, eps2=1.0)
+
+
+class TestEncodeAlice:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("tc, rates", [
+        (TC_ID, None), (TestChannel.bsc(0.2), WIDE_EPS)],
+        ids=["identity", "bsc0.2"])
+    def test_matches_full_scan(self, tc, rates, n):
+        code = ReconCode.generate(J_BSC, tc, n=n, epsilon=0.15, seed=n,
+                                  rates=rates)
+        found = 0
+        for t in range(120):
+            x, _, _ = sample_source(J_BSC, n, _stream(n, 1, t))
+            got = _encode_alice(x, code)
+            assert got == _scan_encode(x, code)
+            found += got[2]
+        if n == 4 and rates is not None:
+            # cell mass 0.1 at n = 4: the window [0.2, 0.6] holds no count
+            assert found == 0
+        else:
+            assert 0 < found < 120
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_no_typical_word_gives_fallback(self, n):
+        # u = x is forced and x = 0^n is not balanced: nothing is typical
+        code = bsc_code(n, seed=n)
+        x = np.zeros(n, dtype=np.uint8)
+        assert _scan_encode(x, code) == (0, 0, False)
+        assert _encode_alice(x, code) == (0, 0, False)
 
 
 class TestReconcile:
@@ -283,6 +401,13 @@ class TestRunExperiment:
                                 seed=17)
         assert run_experiment(J_BSC, TC_ID, params) == run_experiment(
             J_BSC, TC_ID, params)
+
+    def test_eavesdropper_alphabet_must_match_y(self):
+        j = joint_from_cascade([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],
+                               [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]])
+        with pytest.raises(ParameterError, match="differs from"):
+            run_experiment(j, TC_ID, ProtocolParams(
+                n=8, m=1, k=4, epsilon=0.15, trials=5, seed=0))
 
     def test_hash_length_guard(self):
         # 2 * 3 symbols = 6 bits: no field of that size

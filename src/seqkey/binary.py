@@ -25,7 +25,9 @@ import numpy as np
 from seqkey.errors import InfeasibleError, ParameterError, RateSaturated
 from seqkey.measures import (
     binary_entropy,
+    bisect,
     check_prob,
+    check_rate,
     conditional_entropy,
     joint_from_cascade,
     mutual_information,
@@ -39,13 +41,6 @@ def bsc_matrix(t):
     """Row-stochastic binary symmetric channel with crossover t."""
     t = check_prob(t, "crossover")
     return np.array([[1.0 - t, t], [t, 1.0 - t]])
-
-
-def _check_rate(r1):
-    r = float(r1)
-    if math.isnan(r) or r < 0.0:
-        raise ParameterError(f"public rate must be >= 0, got {r1!r}")
-    return r
 
 
 @dataclass(frozen=True)
@@ -106,24 +101,13 @@ def beta0_solve(p, r1):
     p = check_prob(p, "p")
     if not 0.0 < p < 0.5:
         raise ParameterError(f"crossover must lie strictly in (0, 1/2), got {p!r}")
-    r1 = _check_rate(r1)
-    if r1 == 0.0:
-        raise ParameterError("rate must be positive; at zero the useless "
-                             "channel beta = 1/2 is the only solution")
+    r1 = check_rate(r1, positive=True)
     cap = binary_entropy(p)
     if r1 > cap:
         raise RateSaturated(
             f"rate {r1!r} exceeds H(X|Y) = {cap!r}; the constraint is inactive")
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if binary_entropy(star(p, mid)) - binary_entropy(mid) > r1:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
+    beta = bisect(
+        lambda b: binary_entropy(star(p, b)) - binary_entropy(b) > r1, 0.0, 0.5)
     return beta, 1.0 - beta
 
 
@@ -146,7 +130,7 @@ def c_rec_bsc(src, r1):
     ``1 - H_b(p * beta0)`` while the rate constraint binds, saturating at
     ``1 - H_b(p) = I(X;Y)`` once r1 reaches H(X|Y).
     """
-    r1 = _check_rate(r1)
+    r1 = check_rate(r1)
     if src.prior != 0.5:
         return _optimized(src.joint(), "rec", r1)
     pp = min(src.p, 1.0 - src.p)  # relabeling Y maps p to 1-p, capacities agree
@@ -165,7 +149,7 @@ def c_wsk_bsc(src, r1):
     saturating at ``H_b(p * q) - H_b(p)``. Reduces to c_rec_bsc when
     q = 1/2 (the eavesdropper's symbol carries nothing).
     """
-    r1 = _check_rate(r1)
+    r1 = check_rate(r1)
     if src.prior != 0.5:
         return _optimized(src.joint(), "wsk", r1)
     pp = min(src.p, 1.0 - src.p)
@@ -322,20 +306,13 @@ class CounterexampleReport:
 def _trace_alpha2(src, a1, r1):
     # root of (h - f)(a1, .) = r1 in [0, 1 - p); the constraint decreases
     # from its value at alpha2 = 0 to 0 as the channel degenerates
-    lo, hi = 0.0, 1.0 - src.p - 1e-13
-    f, _, h = counterexample_fgh(src, AlphaPair(a1, lo))
-    if h - f < r1:
+    def spent(a2):
+        f, _, h = counterexample_fgh(src, AlphaPair(a1, a2))
+        return h - f
+
+    if spent(0.0) < r1:
         return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        f, _, h = counterexample_fgh(src, AlphaPair(a1, mid))
-        if h - f >= r1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda a2: spent(a2) >= r1, 0.0, 1.0 - src.p - 1e-13)
 
 
 def _golden_max(fun, lo, hi, tol=1e-11):

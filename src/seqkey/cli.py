@@ -27,19 +27,13 @@ comment. Keys::
 Rates are designed from the source and epsilon when the overrides are
 absent; an under-rate override drives P_e above 1/2 and the emitted
 record flags it.
-
-The worker pool for sweep points is sized by --jobs, defaulting to the
-SEQKEY_JOBS environment variable; results are written in input order
-regardless of pool size.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -97,26 +91,6 @@ def parse_grid(spec):
             raise ParameterError("log grid needs a positive start")
         return np.logspace(math.log10(start), math.log10(stop), points)
     return np.linspace(start, stop, points)
-
-
-def _jobs_from_env():
-    raw = os.environ.get("SEQKEY_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"SEQKEY_JOBS must be a positive integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ParameterError(f"SEQKEY_JOBS must be >= 1, got {jobs}")
-    return jobs
-
-
-def _pool_map(fun, items, jobs):
-    # single writer downstream; map preserves input order either way
-    if jobs <= 1 or len(items) <= 1:
-        return [fun(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fun, items))
 
 
 def _fmt(value):
@@ -199,7 +173,7 @@ def cmd_capacity_bsc(args):
         beta = _beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
         return (r1, c_rec_bsc(src, r1), c_wsk_bsc(src, r1), beta)
 
-    rows = _pool_map(point, list(grid), args.jobs)
+    rows = [point(r1) for r1 in grid]
     _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
           args.output)
     return 0
@@ -215,7 +189,7 @@ def cmd_capacity_bec(args):
         return (r1, c_rec_bsc(src, r1), c_wsk_bec(src, args.erasure, r1),
                 beta)
 
-    rows = _pool_map(point, list(grid), args.jobs)
+    rows = [point(r1) for r1 in grid]
     _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
           args.output)
     return 0
@@ -237,7 +211,7 @@ def cmd_capacity_gauss(args):
         s0 = sigma0(src, r1) if r1 > 0.0 else math.inf
         return (r1, rec, wsk, rec / ln2, wsk / ln2, s0)
 
-    rows = _pool_map(point, list(grid), args.jobs)
+    rows = [point(r1) for r1 in grid]
     header = ("r1_nats", "c_rec_nats", "c_wsk_nats",
               "c_rec_bits", "c_wsk_bits", "sigma0")
     _emit(curve_text(header, rows), args.output)
@@ -309,8 +283,7 @@ def cmd_quantize_partition(args):
         part, mi = optimize_partition(src, cells)
         return (cells, mi, partition_rate(src, part))
 
-    rows = _pool_map(point, list(range(args.l_min, args.l_max + 1)),
-                     args.jobs)
+    rows = [point(cells) for cells in range(args.l_min, args.l_max + 1)]
     header = ("cells", "mi_nats", "implied_rate_nats")
     _emit(curve_text(header, rows), args.output)
     return 0
@@ -383,8 +356,7 @@ def cmd_simulate(args):
     rates = None
     if "r_u" in cfg:
         rates = Rates(r_u=cfg["r_u"], r_u_prime=cfg["r_u_prime"],
-                      r_v=0.0, r_v_prime=0.0, eps=eps, eps1=eps / 2.0,
-                      eps2=2.0 * eps)
+                      r_v=0.0, r_v_prime=0.0, eps=eps, eps2=2.0 * eps)
     params = ProtocolParams(n=cfg["n"], m=cfg["m"], k=cfg["k"],
                             epsilon=eps, trials=cfg["trials"],
                             seed=cfg["seed"],
@@ -439,8 +411,6 @@ def cmd_optimize(args):
 def _add_common(sub):
     sub.add_argument("-o", "--output", default=None,
                      help="write to this file instead of stdout")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker pool size (default: SEQKEY_JOBS or 1)")
 
 
 def build_parser():
@@ -494,7 +464,7 @@ def build_parser():
     ce.add_argument("--grid", type=int, default=512)
     ce.add_argument("-o", "--output", default=None,
                     help="also write a JSON record here")
-    ce.set_defaults(func=cmd_counterexample, jobs=1)
+    ce.set_defaults(func=cmd_counterexample)
 
     quant = cmds.add_parser("quantize", help="scalar quantization sweeps")
     modes = quant.add_subparsers(dest="mode", required=True)
@@ -526,7 +496,7 @@ def build_parser():
     sim.add_argument("--timing", action="store_true",
                      help="include wall_time_s in the record")
     sim.add_argument("-o", "--output", default=None)
-    sim.set_defaults(func=cmd_simulate, jobs=1)
+    sim.set_defaults(func=cmd_simulate)
 
     opt = cmds.add_parser("optimize", help="test-channel optimizer access")
     opt.add_argument("--p", type=float, required=True)
@@ -538,7 +508,7 @@ def build_parser():
     opt.add_argument("--starts", type=int, default=32)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("-o", "--output", default=None)
-    opt.set_defaults(func=cmd_optimize, jobs=1)
+    opt.set_defaults(func=cmd_optimize)
 
     return top
 
@@ -547,10 +517,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) is None:
-            args.jobs = _jobs_from_env()
-        if getattr(args, "jobs", 1) < 1:
-            raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
         if args.command == "simulate" and not args.demo and not args.config:
             raise ParameterError("simulate needs a config file or --demo")
         return args.func(args)

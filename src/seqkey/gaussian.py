@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from seqkey.errors import ParameterError
-
-DEGRADED_TOL = 1e-10
+from seqkey.measures import DEGRADED_TOL, check_rate
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,6 @@ class GaussianSource:
         return abs(self.rho_xz - self.rho_xy * self.rho_yz) <= tol
 
 
-def _check_rate(r1, positive=False):
-    r = float(r1)
-    if math.isnan(r) or r < 0.0 or (positive and r == 0.0):
-        kind = "positive" if positive else ">= 0"
-        raise ParameterError(f"rate must be {kind}, got {r1!r}")
-    return r
-
-
 def _strict_rho(src):
     if not abs(src.rho_xy) < 1.0:
         raise ParameterError(
@@ -105,7 +96,7 @@ def sigma0(src, r1):
     limit (or whenever rho_xy = 1). See the module docstring for why this
     expression is kept separate from the constraint-satisfying channel.
     """
-    r1 = _check_rate(r1, positive=True)
+    r1 = check_rate(r1, positive=True)
     return src.sigma_x * (1.0 + (1.0 - src.rho_xy) / math.expm1(2.0 * r1))
 
 
@@ -129,7 +120,7 @@ def c_rec_gauss(src, r1):
     strictly increasing, approaching gaussian_mi(rho_xy) asymptotically
     without attaining it.
     """
-    r1 = _check_rate(r1)
+    r1 = check_rate(r1)
     rho = _strict_rho(src)
     r2 = rho * rho
     return 0.5 * (math.log1p(-r2 * math.exp(-2.0 * r1)) - math.log1p(-r2))
@@ -144,7 +135,7 @@ def c_wsk_gauss(src, r1, extrapolate=False):
     the determinant of the correlation matrix, so a singular correlation
     structure has no finite value.
     """
-    r1 = _check_rate(r1)
+    r1 = check_rate(r1)
     if not (extrapolate or src.is_degraded()):
         raise ParameterError(
             "source is not degraded (rho_xz != rho_xy * rho_yz); "
@@ -172,7 +163,7 @@ def channel_noise_var(src, r1):
     machine accuracy, and channel_mi_y at this variance reproduces
     c_rec_gauss(src, r1).
     """
-    r1 = _check_rate(r1, positive=True)
+    r1 = check_rate(r1, positive=True)
     rho = _strict_rho(src)
     return src.sigma_x**2 * (1.0 - rho * rho) / math.expm1(2.0 * r1)
 

@@ -17,6 +17,10 @@ fixed here:
 
 Axis arguments name a joint's coordinates by letter (``"x"``, ``"yz"``) or
 by index (``0``, ``(1, 2)``).
+
+The numeric primitives the other modules share have their only
+implementation here: ``xlogx`` and ``entropy_nats`` (the entropy kernel),
+``bisect`` (scalar bisection) and ``check_rate`` (public-rate validation).
 """
 
 from __future__ import annotations
@@ -61,6 +65,47 @@ def check_prob(value, name="probability"):
     return v
 
 
+def bisect(below, lo, hi):
+    """Bisection for the point where the predicate ``below`` turns false.
+
+    ``below(x)`` must be true left of the root and false right of it inside
+    [lo, hi]. Runs 200 halvings or stops once the midpoint no longer lies
+    strictly inside the interval (float resolution); returns the midpoint
+    of the last interval.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def check_rate(r1, positive=False):
+    """Validate a public rate (>= 0, or > 0 with ``positive``) as a float."""
+    r = float(r1)
+    if math.isnan(r) or r < 0.0 or (positive and r == 0.0):
+        kind = "positive" if positive else ">= 0"
+        raise ParameterError(f"rate must be {kind}, got {r!r}")
+    return r
+
+
+def xlogx(a):
+    """Elementwise ``a ln a`` with masses at or below ZERO_MASS giving 0."""
+    a = np.asarray(a, dtype=float)
+    pos = a > ZERO_MASS
+    return np.where(pos, a * np.log(np.where(pos, a, 1.0)), 0.0)
+
+
+def entropy_nats(masses, axis=None):
+    """Entropy ``-sum a ln a`` of a mass array in nats, summed over ``axis``
+    (all axes by default). No validation: callers pass pmfs."""
+    return -xlogx(masses).sum(axis=axis)
+
+
 def star(p, q):
     """Binary convolution ``p(1-q) + (1-p)q``.
 
@@ -82,10 +127,8 @@ def binary_entropy(p, units=BITS):
 def inverse_binary_entropy(h):
     """The unique p in [0, 1/2] with ``binary_entropy(p) == h`` (bits).
 
-    Bisection runs until the entropy residual drops to 1e-13 (the public
-    tolerance is 1e-12). The residual rather than the interval width decides
-    convergence because the slope of the entropy blows up near p = 0, where
-    a narrow p-interval still allows a visible entropy error.
+    Bisection runs to float resolution in p, which leaves an entropy
+    residual well inside the public tolerance of 1e-12.
     """
     h = float(h)
     if math.isnan(h) or not 0.0 <= h <= 1.0:
@@ -94,19 +137,7 @@ def inverse_binary_entropy(h):
         return 0.0
     if h == 1.0:
         return 0.5
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        val = binary_entropy(mid)
-        if abs(val - h) <= 1e-13:
-            return mid
-        if val < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: binary_entropy(p) < h, 0.0, 0.5)
 
 
 def _clipped(arr):
@@ -114,14 +145,6 @@ def _clipped(arr):
     if low < -SUM_TOL:
         raise ParameterError(f"negative probability mass {low!r}")
     return np.where(arr > 0.0, arr, 0.0)
-
-
-def _entropy_nats(masses):
-    a = np.asarray(masses, dtype=float).reshape(-1)
-    a = a[a > ZERO_MASS]
-    if a.size == 0:
-        return 0.0
-    return float(-(a * np.log(a)).sum())
 
 
 class DiscreteDist:
@@ -237,7 +260,7 @@ def entropy(d, units=BITS):
     """Shannon entropy of a distribution (DiscreteDist or mass array)."""
     if not isinstance(d, DiscreteDist):
         d = DiscreteDist(d)
-    return _scale(units) * _entropy_nats(d.masses)
+    return float(_scale(units) * entropy_nats(d.masses))
 
 
 def min_entropy(d):
@@ -252,9 +275,9 @@ def mutual_information(j, first, second, units=BITS):
     a = _normalize_axes(first)
     b = _normalize_axes(second)
     _disjoint(a, b)
-    val = (_entropy_nats(j.marginal(a)) + _entropy_nats(j.marginal(b))
-           - _entropy_nats(j.marginal(a + b)))
-    return max(_scale(units) * val, 0.0)
+    val = (entropy_nats(j.marginal(a)) + entropy_nats(j.marginal(b))
+           - entropy_nats(j.marginal(a + b)))
+    return max(float(_scale(units) * val), 0.0)
 
 
 def conditional_mutual_information(j, first, second, given, units=BITS):
@@ -263,11 +286,11 @@ def conditional_mutual_information(j, first, second, given, units=BITS):
     b = _normalize_axes(second)
     c = _normalize_axes(given)
     _disjoint(a, b, c)
-    val = (_entropy_nats(j.marginal(tuple(sorted(a + c))))
-           + _entropy_nats(j.marginal(tuple(sorted(b + c))))
-           - _entropy_nats(j.marginal(tuple(sorted(a + b + c))))
-           - _entropy_nats(j.marginal(c)))
-    return max(_scale(units) * val, 0.0)
+    val = (entropy_nats(j.marginal(tuple(sorted(a + c))))
+           + entropy_nats(j.marginal(tuple(sorted(b + c))))
+           - entropy_nats(j.marginal(tuple(sorted(a + b + c))))
+           - entropy_nats(j.marginal(c)))
+    return max(float(_scale(units) * val), 0.0)
 
 
 def conditional_entropy(j, target, given, units=BITS):
@@ -275,9 +298,9 @@ def conditional_entropy(j, target, given, units=BITS):
     t = _normalize_axes(target)
     g = _normalize_axes(given)
     _disjoint(t, g)
-    val = (_entropy_nats(j.marginal(tuple(sorted(t + g))))
-           - _entropy_nats(j.marginal(g)))
-    return max(_scale(units) * val, 0.0)
+    val = (entropy_nats(j.marginal(tuple(sorted(t + g))))
+           - entropy_nats(j.marginal(g)))
+    return max(float(_scale(units) * val), 0.0)
 
 
 def gaussian_mi(rho):

@@ -42,23 +42,16 @@ from seqkey.measures import (
     BITS,
     LN2,
     SUM_TOL,
-    ZERO_MASS,
     DiscreteJoint,
+    check_rate,
     conditional_entropy,
+    entropy_nats,
+    xlogx,
 )
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 _OBJECTIVES = ("rec", "wsk")
-
-
-def _xlogx(a):
-    safe = np.where(a > ZERO_MASS, a, 1.0)
-    return np.where(a > ZERO_MASS, a * np.log(safe), 0.0)
-
-
-def _ent_bits(a, axes):
-    return -_xlogx(a).sum(axis=axes) / LN2
 
 
 class TestChannel:
@@ -152,8 +145,8 @@ def _precompute(j):
         p_xy=p_xy,
         p_xz=p_xz,
         p_x=p_x,
-        h_y=float(_ent_bits(j.marginal("y"), None)),
-        h_z=float(_ent_bits(j.marginal("z"), None)),
+        h_y=float(entropy_nats(j.marginal("y")) / LN2),
+        h_z=float(entropy_nats(j.marginal("z")) / LN2),
         h_xy_cond=conditional_entropy(j, "x", "y"),
     )
 
@@ -161,11 +154,11 @@ def _precompute(j):
 def _h_joint_bits(tc, p_xa):
     # H(U, A) for A with pair masses p_xa; tc is (B, nx, nu)
     p_ua = np.einsum("bxu,xa->bua", tc, p_xa)
-    return _ent_bits(p_ua, (1, 2))
+    return entropy_nats(p_ua, (1, 2)) / LN2
 
 
 def _h_u_given_x_bits(tc, p_x):
-    return -(p_x[None, :, None] * _xlogx(tc)).sum(axis=(1, 2)) / LN2
+    return -(p_x[None, :, None] * xlogx(tc)).sum(axis=(1, 2)) / LN2
 
 
 def _rate_bits(tc, pre):
@@ -177,7 +170,7 @@ def _value_bits(tc, pre, objective):
     h_uy = _h_joint_bits(tc, pre.p_xy)
     if objective == "rec":
         p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
-        return _ent_bits(p_u, 1) + pre.h_y - h_uy
+        return entropy_nats(p_u, 1) / LN2 + pre.h_y - h_uy
     h_uz = _h_joint_bits(tc, pre.p_xz)
     return (h_uz - pre.h_z) - (h_uy - pre.h_y)
 
@@ -351,9 +344,7 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     if not isinstance(j, DiscreteJoint):
         j = DiscreteJoint(j)
     opts = opts or OptimizerOptions()
-    r1 = float(r1)
-    if math.isnan(r1) or r1 < 0.0:
-        raise ParameterError(f"rate must be >= 0, got {r1!r}")
+    r1 = check_rate(r1)
     pre = _precompute(j)
     if r1 > pre.h_xy_cond + 1e-12:
         raise ParameterError(
@@ -435,7 +426,7 @@ def objective_twoway(j, tw, mode="sk"):
 
     def h(*keep):
         drop = tuple(i for i in range(5) if i not in keep)
-        return float(_ent_bits(big.sum(axis=drop), None))
+        return float(entropy_nats(big.sum(axis=drop)) / LN2)
 
     i_yu = h(1) + h(3) - h(1, 3)
     i_xv_u = h(0, 3) + h(3, 4) - h(0, 3, 4) - h(3)

@@ -39,7 +39,7 @@ import numpy as np
 
 from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.gf2n import POLY_TAPS, gf_mul
-from seqkey.measures import DiscreteJoint
+from seqkey.measures import LN2, DiscreteJoint, entropy_nats
 from seqkey.optimizer import TestChannel, rate_constraint
 
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
@@ -55,32 +55,20 @@ def _stream(seed, *ids):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _h_bits(p, axis=None):
-    p = np.asarray(p, dtype=float)
-    safe = np.where(p > 0.0, p, 1.0)
-    return float(-np.sum(np.where(p > 0.0, p * np.log2(safe), 0.0),
-                         axis=axis))
-
-
 def _bits_per_symbol(size):
     return 0 if size <= 1 else (size - 1).bit_length()
 
 
 @dataclass(frozen=True)
 class Rates:
-    """Code-construction rates in bits per symbol.
-
-    eps1 is carried for completeness: the construction defines it next to
-    eps2 but only eps (U layer) and eps2 (V layer) parameterize the
-    typicality tests; eps1 lives in the surrounding analysis.
-    """
+    """Code-construction rates in bits per symbol, with the typicality
+    slacks of the U layer (eps) and the V layer (eps2)."""
 
     r_u: float
     r_u_prime: float
     r_v: float
     r_v_prime: float
     eps: float
-    eps1: float
     eps2: float
 
 
@@ -89,12 +77,16 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
     eps2 = 2.0 * epsilon
+
+    def h(a):
+        return float(entropy_nats(a) / LN2)
+
     p_x = j.marginal((0,))
     p_xy = j.marginal((0, 1))
     p_u = p_x @ tc_u.rows
-    h_u = _h_bits(p_u)
+    h_u = h(p_u)
     p_yu = np.einsum("ab,au->bu", p_xy, tc_u.rows)
-    i_yu = _h_bits(p_yu.sum(axis=1)) + h_u - _h_bits(p_yu)
+    i_yu = h(p_yu.sum(axis=1)) + h_u - h(p_yu)
     r_u = rate_constraint(j, tc_u) + 6.0 * epsilon * h_u
     r_u_prime = i_yu - 3.0 * epsilon * h_u
     if v_given_yu is None:
@@ -102,7 +94,6 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
     else:
         # designed joint over (x, y, u, v)
         p4 = np.einsum("ab,au,buv->abuv", p_xy, tc_u.rows, v_given_yu)
-        h = _h_bits
         i_v_y_xu = (h(p4.sum(axis=1)) + h(p4.sum(axis=3))
                     - h(p4.sum(axis=(1, 3))) - h(p4))
         p_uv = p4.sum(axis=(0, 1))
@@ -112,8 +103,7 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
         r_v = i_v_y_xu + 6.0 * eps2 * h_v_u
         r_v_prime = i_v_x_u - 3.0 * eps2 * h_v_u
     return Rates(r_u=r_u, r_u_prime=r_u_prime, r_v=r_v,
-                 r_v_prime=r_v_prime, eps=epsilon, eps1=0.5 * epsilon,
-                 eps2=eps2)
+                 r_v_prime=r_v_prime, eps=epsilon, eps2=eps2)
 
 
 def _size(rate_bits, n):
@@ -366,8 +356,7 @@ def _decode_bob(y, omega_idx, code, decoder):
         scores = code.ll_v_given_uy[shat_u, y][
             np.arange(code.n)[None, :], vcands].sum(axis=1)
         flat = int(np.argmax(scores))
-    k_idx, l_idx = flat // code.w_l, flat % code.w_l
-    return shat_u, nu_idx, k_idx, vcands[flat], found
+    return shat_u, nu_idx, flat // code.w_l, vcands[flat], found
 
 
 def _recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder):

@@ -37,7 +37,7 @@ import numpy as np
 
 from seqkey.errors import ParameterError
 from seqkey.gaussian import GaussianSource, h_x_given_y
-from seqkey.measures import DiscreteDist, gaussian_mi
+from seqkey.measures import DiscreteDist, entropy_nats, gaussian_mi
 
 GAP_FLOOR = 1e-16
 _Y_TOL = 1e-9          # absolute tolerance of the y-integration
@@ -48,11 +48,6 @@ _ERF = np.vectorize(math.erf, otypes=[float])
 
 def _norm_cdf(t):
     return 0.5 * (1.0 + _ERF(t / math.sqrt(2.0)))
-
-
-def _ent(p, axis=None):
-    safe = np.where(p > 0.0, p, 1.0)
-    return -np.sum(np.where(p > 0.0, p * np.log(safe), 0.0), axis=axis)
 
 
 def _adaptive_gl(fun, lo, hi, tol, order=16, max_depth=26):
@@ -173,11 +168,11 @@ def quantized_mi(src, q):
         cond = np.exp(-0.5 * arg * arg + log_norm)
         cond /= cond.sum(axis=1, keepdims=True)
         p_y = np.exp(-y * y / (2.0 * sy * sy)) / (_SQRT_2PI * sy)
-        return p_y * _ent(cond, axis=1)
+        return p_y * entropy_nats(cond, axis=1)
 
     lim = _Y_HALFWIDTH * sy
     h_cond = _adaptive_gl(integrand, -lim, lim, _Y_TOL)
-    return float(_ent(marg.masses) - h_cond)
+    return float(entropy_nats(marg.masses) - h_cond)
 
 
 @dataclass(frozen=True)
@@ -324,35 +319,31 @@ def _cell_masses(edges_scaled):
     return np.diff(np.concatenate((pad, cdf, 1.0 - pad), axis=1), axis=1)
 
 
+def _h_cells_given_y(src, part, tol):
+    # H(U|Y) in nats: the cell entropy given y, integrated over y
+    sy, slope, sc = _geometry(src)
+    b = part.boundaries
+
+    def integrand(y):
+        cond = _cell_masses((b[None, :] - slope * y[:, None]) / sc)
+        p_y = np.exp(-y * y / (2.0 * sy * sy)) / (_SQRT_2PI * sy)
+        return p_y * entropy_nats(cond, axis=1)
+
+    lim = _Y_HALFWIDTH * sy
+    return _adaptive_gl(integrand, -lim, lim, tol)
+
+
 def partition_mi(src, part, tol=_Y_TOL):
     """I(X_Q;Y) of a boundary partition with exact cell masses, nats."""
     if src.rho_xy == 0.0:
         return 0.0
-    sy, slope, sc = _geometry(src)
-    b = part.boundaries
-    h_u = _ent(_cell_masses(b / src.sigma_x))
-
-    def integrand(y):
-        cond = _cell_masses((b[None, :] - slope * y[:, None]) / sc)
-        p_y = np.exp(-y * y / (2.0 * sy * sy)) / (_SQRT_2PI * sy)
-        return p_y * _ent(cond, axis=1)
-
-    lim = _Y_HALFWIDTH * sy
-    return float(h_u - _adaptive_gl(integrand, -lim, lim, tol))
+    h_u = entropy_nats(_cell_masses(part.boundaries / src.sigma_x))
+    return float(h_u - _h_cells_given_y(src, part, tol))
 
 
 def partition_rate(src, part, tol=_Y_TOL):
     """H(U|Y) of the partition in nats: the reconciliation budget it needs."""
-    sy, slope, sc = _geometry(src)
-    b = part.boundaries
-
-    def integrand(y):
-        cond = _cell_masses((b[None, :] - slope * y[:, None]) / sc)
-        p_y = np.exp(-y * y / (2.0 * sy * sy)) / (_SQRT_2PI * sy)
-        return p_y * _ent(cond, axis=1)
-
-    lim = _Y_HALFWIDTH * sy
-    return float(_adaptive_gl(integrand, -lim, lim, tol))
+    return float(_h_cells_given_y(src, part, tol))
 
 
 def optimize_partition(src, n_cells, max_iters=400):
@@ -394,7 +385,6 @@ def optimize_partition(src, n_cells, max_iters=400):
             if (b.size == 1 or np.all(np.diff(cand) > min_gap)):
                 val = objective(cand)
                 if val > cur:
-                    assert val >= cur  # ascent property, per accepted step
                     b, cur, moved = cand, val, True
                     break
             step *= 0.5

@@ -1,5 +1,6 @@
 """Command-line surface tests: parsing, exit codes, round-trips."""
 
+import hashlib
 import json
 import math
 
@@ -160,15 +161,6 @@ class TestCapacityCurves:
         assert main(args) == 2
         assert main(args + ["--extrapolate"]) == 0
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        args = ["capacity", "bsc", "--p", "0.1", "--q", "0.2",
-                "--r1", "linear:0.05:0.6:9"]
-        assert main(args + ["-o", a]) == 0
-        assert main(args + ["-o", b, "--jobs", "4"]) == 0
-        assert (tmp_path / "a.csv").read_bytes() == \
-            (tmp_path / "b.csv").read_bytes()
-
 
 class TestCounterexample:
     def test_default_gap_confirmed(self, capsys, tmp_path):
@@ -285,3 +277,58 @@ class TestOptimize:
             c_wsk_bsc(src, 0.3), abs=1e-6)
         assert rec["results"]["status"] == "converged"
         assert len(rec["results"]["channel"]) == 2
+
+
+# Digests of the output bytes of fixed commands. Refactors of the numerics
+# must leave every byte alone, so a digest mismatch is a behaviour change.
+# The digests hold for one platform's float arithmetic (numpy and libm);
+# regenerate them from an unmodified checkout when the platform changes.
+BYTE_CASES = {
+    "capacity_bsc": (
+        ["capacity", "bsc", "--p", "0.1", "--q", "0.2",
+         "--r1", "linear:0.02:0.6:40"], None),
+    "capacity_bec": (
+        ["capacity", "bec", "--p", "0.1", "--erasure", "0.3",
+         "--r1", "linear:0.02:0.6:40"], None),
+    "capacity_gauss": (
+        ["capacity", "gauss", "--rho-xy", "0.8", "--rho-yz", "0.4",
+         "--r1", "log:0.01:3:40"], None),
+    "counterexample": (["counterexample"], None),
+    "quantize_uniform": (["quantize", "uniform", "--rho-xy", "0.75"], None),
+    "optimize_wsk": (
+        ["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3",
+         "--objective", "wsk"], None),
+    "simulate_ml": (
+        ["simulate"],
+        "p = 0.1\nq = 0.5\nn = 8\nm = 8\nk = 4\nepsilon = 0.15\n"
+        "trials = 150\nseed = 20260816\ndecoder = ml\n"),
+}
+
+FROZEN_DIGESTS = {
+    "capacity_bec":
+        "f03cb1d1323c4e79e14502b01e0c50ee891a7dcdd2b740a64319508e8bf21de5",
+    "capacity_bsc":
+        "6992f30a50c4dac98b94572634d99e2ac3b6a59940d74ae63060acd148e81bf6",
+    "capacity_gauss":
+        "38458b142729164282e9bc4bd4443e212240ea18fb239c6960f42af2550d45ec",
+    "counterexample":
+        "96551d9b72b4a5822cb937e2718710029bdc4f060518de68d9ed90587d4137e5",
+    "optimize_wsk":
+        "273d89d665a0cef69f44135d9073c488413423e6388210fa89685a431719fade",
+    "quantize_uniform":
+        "673ff1e3cde40f0e6fbd9503591335718d96f5e9082caa200affa855eebdc66f",
+    "simulate_ml":
+        "6e30692b22ec7fcd52d7da0bf4db19d8efa171cae57a42f21acaf5aae07decf3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_CASES))
+def test_cli_bytes_frozen(name, tmp_path, capsys):
+    # everything the command writes: stdout, then the -o file
+    argv, cfg = BYTE_CASES[name]
+    if cfg is not None:
+        argv = argv + [write_cfg(tmp_path, cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    data = capsys.readouterr().out.encode() + out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FROZEN_DIGESTS[name]

@@ -8,14 +8,19 @@ import pytest
 from seqkey.errors import ParameterError
 from seqkey.measures import (
     BITS,
+    LN2,
     NATS,
+    ZERO_MASS,
     DiscreteDist,
     DiscreteJoint,
     binary_entropy,
+    bisect,
+    check_rate,
     conditional_entropy,
     conditional_mutual_information,
     convert_units,
     entropy,
+    entropy_nats,
     gaussian_mi,
     inverse_binary_entropy,
     joint_from_cascade,
@@ -336,3 +341,97 @@ def test_unit_conversion():
     assert convert_units(0.37, BITS, BITS) == 0.37
     with pytest.raises(ParameterError):
         entropy([0.5, 0.5], "trits")
+
+
+# ------------------------------------------------------ shared primitives
+
+def test_bisect_known_roots():
+    assert abs(bisect(lambda x: x * x < 2.0, 1.0, 2.0) - math.sqrt(2.0)) \
+        <= math.ulp(math.sqrt(2.0))
+    assert abs(bisect(lambda x: math.cos(x) > 0.0, 0.0, 3.0) - math.pi / 2) \
+        <= 2 * math.ulp(math.pi / 2)
+    assert bisect(lambda x: x < 0.3, 0.3, 0.3) == 0.3
+
+
+def test_bisect_stops_at_float_resolution_or_200_halvings():
+    calls = []
+
+    def below(x):
+        calls.append(x)
+        return x * x < 2.0
+
+    bisect(below, 1.0, 2.0)
+    # [1, 2] holds 2^52 floats: the midpoint stops moving after ~52 halvings
+    assert 50 <= len(calls) <= 54
+    calls.clear()
+    # a root at 0 exactly: halving [0, 1] never runs out of floats first
+    assert bisect(lambda x: calls.append(x) or False, 0.0, 1.0) == 2.0 ** -201
+    assert len(calls) == 200
+
+
+def _entropy_oracles(a, axis):
+    """The entropy formulas the package used before the shared kernel."""
+    safe = np.where(a > 0.0, a, 1.0)
+    log2_form = -np.sum(np.where(a > 0.0, a * np.log2(safe), 0.0),
+                        axis=axis) * LN2
+    positive_mask = -np.sum(np.where(a > 0.0, a * np.log(safe), 0.0),
+                            axis=axis)
+    safe = np.where(a > ZERO_MASS, a, 1.0)
+    zero_mass_mask = -np.where(a > ZERO_MASS, a * np.log(safe),
+                               0.0).sum(axis=axis)
+    # the compressed sum, one slice at a time
+    keep = tuple(i for i in range(a.ndim)
+                 if i not in (axis if isinstance(axis, tuple) else (axis,)))
+    moved = np.moveaxis(a, keep, tuple(range(len(keep))))
+    flat = moved.reshape(moved.shape[:len(keep)] + (-1,))
+    compressed = np.empty(flat.shape[:-1])
+    for idx in np.ndindex(*flat.shape[:-1]):
+        s = flat[idx][flat[idx] > ZERO_MASS]
+        compressed[idx] = -(s * np.log(s)).sum()
+    return log2_form, positive_mask, zero_mass_mask, compressed
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, (1, 2), (0, 2)])
+def test_entropy_nats_matches_old_formulas(axis):
+    rng = np.random.default_rng(11)
+    for dims in [(2, 3, 4), (5, 5, 5), (3, 17, 2)]:
+        a = rng.random(dims)
+        a[rng.random(dims) < 0.3] = 0.0
+        tiny = rng.random(dims) < 0.1
+        a[tiny] = 10.0 ** rng.uniform(-320.0, -300.0, tiny.sum())
+        # every slice keeps one ordinary mass, so relative error is defined
+        first = [slice(None)] * 3
+        for ax in (axis if isinstance(axis, tuple) else (axis,)):
+            first[ax] = 0
+        a[tuple(first)] = rng.uniform(0.1, 1.0, a[tuple(first)].shape)
+        got = entropy_nats(a, axis=axis)
+        for oracle in _entropy_oracles(a, axis):
+            assert got.shape == oracle.shape
+            assert np.all(np.abs(got - oracle) <= 1e-15 * np.abs(oracle))
+
+
+def test_entropy_nats_zero_mass_convention():
+    assert entropy_nats([1.0, 0.0, ZERO_MASS]) == 0.0
+    assert entropy_nats([0.5, 0.5]) == pytest.approx(math.log(2.0), abs=1e-16)
+    assert entropy_nats(np.array([[0.5, 0.5], [1.0, 0.0]]), axis=1) \
+        == pytest.approx([math.log(2.0), 0.0], abs=1e-16)
+
+
+def test_public_measures_return_python_floats():
+    j = random_joint(np.random.default_rng(2), (2, 3, 2))
+    for val in (entropy([0.25, 0.75]), mutual_information(j, "x", "y"),
+                conditional_mutual_information(j, "x", "y", "z"),
+                conditional_entropy(j, "x", "yz")):
+        assert type(val) is float
+
+
+def test_check_rate():
+    assert check_rate(0.0) == 0.0
+    assert type(check_rate(np.float64(0.25))) is float
+    assert check_rate(0.25, positive=True) == 0.25
+    for bad, positive in [(math.nan, False), (-0.5, False), (-0.5, True),
+                          (math.nan, True), (0.0, True)]:
+        kind = "positive" if positive else ">= 0"
+        with pytest.raises(ParameterError,
+                           match=f"^rate must be {kind}, got "):
+            check_rate(bad, positive=positive)

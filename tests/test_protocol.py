@@ -65,7 +65,6 @@ class TestDesignRates:
         assert r.r_u_prime == pytest.approx(1.0 - hxy - 0.45, abs=1e-12)
         assert r.r_v == 0.0
         assert r.r_v_prime == 0.0
-        assert r.eps1 == pytest.approx(0.075)
         assert r.eps2 == pytest.approx(0.3)
 
     def test_v_layer_rates(self):
@@ -148,7 +147,7 @@ class TestReconCode:
         # nv = 1: the draw-then-clamp construction always gave zeros,
         # also when explicit rates ask for several V codewords per bin
         wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25,
-                     eps=0.15, eps1=0.075, eps2=0.3)
+                     eps=0.15, eps2=0.3)
         codes = (bsc_code(8), bsc_code(8, rates=wide))
         assert codes[1].w_k * codes[1].w_l == 16 * 4
         for code in codes:
@@ -161,7 +160,7 @@ class TestReconCode:
 
     def test_budget_guard(self):
         big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0,
-                    eps=0.15, eps1=0.075, eps2=0.3)
+                    eps=0.15, eps2=0.3)
         with pytest.raises(InfeasibleError):
             bsc_code(12, rates=big)
 
@@ -218,7 +217,7 @@ def _scan_encode(x, code):
 # BSC(0.2) test channel: no zero-mass (x, u) cell. At eps = 0.15 its
 # windows hold no integer count for n in {4, 8, 12}, so the rates widen eps.
 WIDE_EPS = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0,
-                 eps=0.5, eps1=0.25, eps2=1.0)
+                 eps=0.5, eps2=1.0)
 
 
 class TestEncodeAlice:
@@ -280,7 +279,7 @@ class TestReconcile:
         # spurious candidates and the error rate stays bounded away from 0
         base = design_rates(J_BSC, TC_ID, epsilon=0.15)
         low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
-                    r_v=0.0, r_v_prime=0.0, eps=0.15, eps1=0.075, eps2=0.3)
+                    r_v=0.0, r_v_prime=0.0, eps=0.15, eps2=0.3)
         code = bsc_code(10, seed=5, rates=low)
         from seqkey.protocol import _stream
         errs = 0

@@ -151,12 +151,13 @@ def _emit(text, path):
 # ------------------------------------------------------------ capacity
 
 def _beta0_column(p, r1):
-    # constraint inactive or degenerate crossover: report the attaining
-    # channel directly instead of failing the whole sweep
+    # constraint inactive, zero rate or degenerate crossover: report the
+    # attaining channel directly instead of failing the whole sweep (at
+    # r1 = 0 that is the useless channel, beta = 1/2)
     pp = min(p, 1.0 - p)
     if pp == 0.0:
         return 0.0
-    if pp == 0.5:
+    if pp == 0.5 or r1 == 0.0:
         return 0.5
     try:
         beta, _ = beta0_solve(pp, r1)

@@ -18,6 +18,7 @@ from seqkey.cli import (
 )
 from seqkey.errors import ParameterError
 from seqkey.measures import gaussian_mi
+from seqkey.quantize import optimize_partition
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -108,6 +109,18 @@ class TestExitCodes:
     def test_simulate_without_config_is_2(self, capsys):
         assert main(["simulate"]) == 2
 
+    def test_unconverged_partition_is_4(self, monkeypatch, capsys):
+        # a one-iteration budget cannot reach the gradient tolerance at
+        # five cells, so the solver raises ConvergenceError
+        def one_step(src, cells):
+            return optimize_partition(src, cells, max_iters=1)
+
+        monkeypatch.setattr("seqkey.cli.optimize_partition", one_step)
+        rc = main(["quantize", "partition", "--rho-xy", "0.75",
+                   "--l-min", "5", "--l-max", "5"])
+        assert rc == 4
+        assert "did not converge" in capsys.readouterr().err
+
 
 class TestCapacityCurves:
     def test_bsc_saturates(self, tmp_path):
@@ -131,6 +144,18 @@ class TestCapacityCurves:
                      "--r1", "linear:0.1:0.5:3", "-o", out]) == 0
         _, rows = read_curve(out)
         assert all(row[1] == 1.0 for row in rows)
+
+    @pytest.mark.parametrize("model", [["bsc", "--q", "0.2"],
+                                       ["bec", "--erasure", "0.3"]])
+    def test_zero_rate_row(self, model, tmp_path):
+        # at r1 = 0 nothing may be sent: both capacities vanish and the
+        # attaining channel is the useless one, beta0 = 1/2
+        out = str(tmp_path / "c.csv")
+        assert main(["capacity", model[0], "--p", "0.1", *model[1:],
+                     "--r1", "linear:0:0.5:3", "-o", out]) == 0
+        _, rows = read_curve(out)
+        assert rows[0] == (0.0, 0.0, 0.0, 0.5)
+        assert len(rows) == 3
 
     def test_bec_scales_c_rec(self, tmp_path):
         out = str(tmp_path / "c.csv")

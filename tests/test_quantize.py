@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from seqkey.errors import ParameterError
+from seqkey.errors import ConvergenceError, ParameterError
 from seqkey.gaussian import GaussianSource, c_rec_gauss, h_x_given_y
 from seqkey.measures import gaussian_mi
 from seqkey.quantize import (
@@ -21,6 +21,8 @@ from seqkey.quantize import (
     GapBoundConstants,
     Partition,
     UniformQuantizer,
+    _mi_and_grad,
+    _unit_y_rule,
     bound_check,
     gap_bound,
     gap_constants,
@@ -286,3 +288,74 @@ class TestOptimizePartition:
                           for i in range(1, 4)])
         _, mi = optimize_partition(SRC, 4)
         assert mi > partition_mi(SRC, init)
+
+
+def _fixed_rule_pass(src, bounds):
+    # value and gradient in the boundaries themselves, not over sigma_x
+    mi, grad = _mi_and_grad(np.asarray(bounds) / src.sigma_x,
+                            *_unit_y_rule(src))
+    return mi, grad / src.sigma_x
+
+
+class TestPartitionSolver:
+    @pytest.mark.parametrize("rho, sigma_x", [(0.5, 1.0), (0.9, 1.0),
+                                              (0.9, 2.0)])
+    def test_gradient_matches_central_differences(self, rho, sigma_x):
+        src = GaussianSource(rho_xy=rho, sigma_x=sigma_x)
+        rng = np.random.default_rng(11)
+        h = 1e-5 * sigma_x
+        for cells in range(2, 7):
+            b = np.sort(rng.uniform(-2.0, 2.0, cells - 1)) * sigma_x
+            _, grad = _fixed_rule_pass(src, b)
+            for i, e in enumerate(np.eye(cells - 1)):
+                up = partition_mi(src, Partition(b + h * e), tol=1e-11)
+                down = partition_mi(src, Partition(b - h * e), tol=1e-11)
+                assert grad[i] == pytest.approx((up - down) / (2.0 * h),
+                                                abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.75, 0.9, 0.99, 0.999])
+    def test_fixed_rule_matches_adaptive(self, rho):
+        src = GaussianSource(rho_xy=rho)
+        rng = np.random.default_rng(3)
+        for cells in (2, 5, 10, 15):
+            b = np.sort(rng.uniform(-2.5, 2.5, cells - 1))
+            mi, _ = _fixed_rule_pass(src, b)
+            assert mi == pytest.approx(
+                partition_mi(src, Partition(b), tol=1e-12), abs=1e-12)
+
+    def test_not_below_finite_difference_optimum(self):
+        # values the finite-difference ascent returned at rho = 0.75; it
+        # stopped short of the optimum at 4 and 5 cells
+        previous = {3: 0.3062136202933248, 4: 0.3445348717157568,
+                    5: 0.36540237027379585}
+        for cells, value in previous.items():
+            _, mi = optimize_partition(SRC, cells)
+            assert mi >= value - 1e-12
+
+    @pytest.mark.parametrize("rho", [0.75, 0.9])
+    def test_converges_for_every_cell_count(self, rho):
+        src = GaussianSource(rho_xy=rho)
+        vals = []
+        for cells in range(2, 16):
+            part, mi = optimize_partition(src, cells)
+            _, grad = _fixed_rule_pass(src, part.boundaries)
+            assert np.abs(grad).max() <= 1e-8
+            assert mi == partition_mi(src, part, tol=1e-11)
+            vals.append(mi)
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+        assert vals[-1] < gaussian_mi(rho)
+
+    def test_scale_invariant(self):
+        # the MI depends on the boundaries over sigma_x alone, and so does
+        # the solve
+        unit, mi = optimize_partition(SRC, 6)
+        for sigma_x in (0.01, 100.0):
+            src = GaussianSource(rho_xy=0.75, sigma_x=sigma_x)
+            part, scaled_mi = optimize_partition(src, 6)
+            assert np.allclose(part.boundaries / sigma_x, unit.boundaries,
+                               rtol=0.0, atol=1e-6)
+            assert scaled_mi == pytest.approx(mi, abs=1e-12)
+
+    def test_iteration_budget_exhausted_raises(self):
+        with pytest.raises(ConvergenceError, match="gradient inf-norm"):
+            optimize_partition(SRC, 5, max_iters=1)

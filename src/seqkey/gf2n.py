@@ -8,9 +8,8 @@ exhaustive search (irreducibility via x^{2^N} = x mod f plus subfield gcd
 checks) and is frozen here; the test suite re-verifies every entry with an
 independent implementation.
 
-Scalar multiplication works for any table N using Python ints (no overflow
-concerns). The vectorized path is limited to N <= 32 so the carry-less
-product of two N-bit operands fits in uint64.
+One multiply serves every table N: ``gf_mul`` takes ints or integer arrays,
+broadcasts them, and works on uint64 throughout.
 """
 
 from __future__ import annotations
@@ -46,69 +45,55 @@ def modulus(n):
     return f
 
 
-def _check_element(v, n, name):
-    if not isinstance(v, (int, np.integer)) or not 0 <= v < (1 << n):
+def _elements(v, n, name):
+    """v as uint64 after checking every entry lies in [0, 2^n).
+
+    The check runs before the cast: numpy raises OverflowError when a
+    Python int at or above 2^64 meets uint64.
+    """
+    if isinstance(v, (int, np.integer)):
+        if not 0 <= int(v) < (1 << n):
+            raise ParameterError(
+                f"{name} must be an int in [0, 2^{n}), got {v!r}")
+        return np.uint64(v)
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "iu" or (arr.size and (
+            int(arr.min()) < 0 or int(arr.max()) >> n)):
         raise ParameterError(
-            f"{name} must be an int in [0, 2^{n}), got {v!r}")
+            f"{name} must hold ints in [0, 2^{n}), got {v!r}")
+    return arr.astype(np.uint64)
 
 
 def gf_mul(a, b, n):
-    """Product of a and b in GF(2^n)."""
+    """Product of a and b in GF(2^n), elementwise over broadcast arrays.
+
+    a and b are ints or integer arrays; the result is uint64 of their
+    broadcast shape (a numpy scalar for two scalars). Shift-and-reduce
+    reads the top bit before each shift, so every intermediate stays
+    below 2^n and n = 64 fits in uint64.
+    """
     f = modulus(n)
-    _check_element(a, n, "a")
-    _check_element(b, n, "b")
-    a, b = int(a), int(b)
-    top = 1 << (n - 1)
-    mid = f ^ (1 << n)  # reduction mask once the top bit shifts out
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a = ((a ^ top) << 1) ^ mid if a & top else a << 1
-        b >>= 1
-    return r
+    a = _elements(a, n, "a")
+    b = _elements(b, n, "b")
+    one = np.uint64(1)
+    top = np.uint64(n - 1)
+    mask = np.uint64((1 << n) - 1)
+    low = np.uint64(f ^ (1 << n))  # reduction mask once the top bit shifts out
+    r = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    for i in range(n):
+        r ^= a * ((b >> np.uint64(i)) & one)
+        a = ((a << one) & mask) ^ (a >> top) * low
+    return r[()]
 
 
 def gf_pow(a, e, n):
     """a raised to the integer power e >= 0 in GF(2^n)."""
     if e < 0:
         raise ParameterError(f"exponent must be >= 0, got {e!r}")
-    _check_element(a, n, "a")
-    r, base = 1, int(a)
+    r, base = np.uint64(1), _elements(a, n, "a")
     while e:
         if e & 1:
             r = gf_mul(r, base, n)
         base = gf_mul(base, base, n)
         e >>= 1
-    return r
-
-
-def gf_mul_vec(a, b, n):
-    """Elementwise GF(2^n) products of uint64 arrays, n <= 32 only.
-
-    a and b broadcast against each other; the shift-and-reduce loop runs
-    n times regardless of operand values, which keeps everything as plain
-    array ops.
-    """
-    if n not in POLY_TAPS:
-        raise ParameterError(f"field size must be in [8, 64], got {n!r}")
-    if n > 32:
-        raise ParameterError(
-            f"vectorized path supports n <= 32, got {n}; use gf_mul")
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if np.any(a >> np.uint64(n)) or np.any(b >> np.uint64(n)):
-        raise ParameterError(f"elements must be below 2^{n}")
-    f = np.uint64(modulus(n))
-    one = np.uint64(1)
-    top = np.uint64(1 << n)
-    a, b = np.broadcast_arrays(a, b)
-    a = a.copy()
-    b = b.copy()
-    r = np.zeros(a.shape, dtype=np.uint64)
-    for _ in range(n):
-        r ^= np.where(b & one, a, np.uint64(0))
-        a <<= one
-        a = np.where(a & top, a ^ f, a)
-        b >>= one
     return r

@@ -141,6 +141,10 @@ def inverse_binary_entropy(h):
 
 
 def _clipped(arr):
+    """arr with float dust below zero set to 0; non-finite masses and
+    masses below -SUM_TOL are rejected."""
+    if not np.isfinite(arr).all():
+        raise ParameterError("probability masses must be finite")
     low = float(arr.min()) if arr.size else 0.0
     if low < -SUM_TOL:
         raise ParameterError(f"negative probability mass {low!r}")

@@ -43,6 +43,7 @@ from seqkey.measures import (
     LN2,
     SUM_TOL,
     DiscreteJoint,
+    _clipped,
     check_rate,
     conditional_entropy,
     entropy_nats,
@@ -50,6 +51,8 @@ from seqkey.measures import (
 )
 
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+IMPROVE_TOL = 1e-8   # sweep improvement below this stops the ascent
+PROJECT_ITERS = 46   # bisection steps for the surface projection
 
 _OBJECTIVES = ("rec", "wsk")
 
@@ -68,10 +71,7 @@ class TestChannel:
             raise ParameterError(
                 f"|U| = {arr.shape[1]} exceeds |X| = {arr.shape[0]}; the "
                 "capacity problems never need a larger auxiliary alphabet")
-        low = float(arr.min())
-        if low < -SUM_TOL:
-            raise ParameterError(f"negative channel mass {low!r}")
-        arr = np.where(arr > 0.0, arr, 0.0)
+        arr = _clipped(arr)
         sums = arr.sum(axis=1)
         if np.abs(sums - 1.0).max() > SUM_TOL:
             raise ParameterError(
@@ -106,11 +106,8 @@ class OptimizerOptions:
 
     starts: int = 32          # Dirichlet(1) random starts (identity is added)
     seed: int = 0
-    tol: float = 1e-6         # acceptable |I(X;U|Y) - R1| on the result
-    improve_tol: float = 1e-8 # sweep improvement below this stops the ascent
     max_sweeps: int = 60
     golden_iters: int = 24    # line-search refinement steps
-    project_iters: int = 46   # bisection steps for the surface projection
     rate_grid: int = 8        # R' grid size for non-degraded wsk inputs
 
 
@@ -202,7 +199,7 @@ def objective_wsk(j, tc):
     return float(_value_bits(tc.rows[None], _precompute(j), "wsk")[0])
 
 
-def _project(tc, r1, pre, iters):
+def _project(tc, r1, pre):
     """Pull every batch element onto the surface I(X;U|Y) = r1.
 
     Bisection along the segment to the identity channel when the constraint
@@ -219,7 +216,7 @@ def _project(tc, r1, pre, iters):
     lo = np.zeros(b)
     hi = np.ones(b)
     mid = 0.5 * (lo + hi)
-    for _ in range(iters):
+    for _ in range(PROJECT_ITERS):
         mid = 0.5 * (lo + hi)
         cand = tc + mid[:, None, None] * (ends - tc)
         cm = _rate_bits(cand, pre)
@@ -258,7 +255,7 @@ def _line_search(tc, val, x, u1, u2, r1, pre, objective, opts):
         cand = tc.copy()
         cand[:, x, u1] = tc[:, x, u1] - tau
         cand[:, x, u2] = tc[:, x, u2] + tau
-        return _project(cand, r1, pre, opts.project_iters)
+        return _project(cand, r1, pre)
 
     def fval(tau):
         return _value_bits(shifted(tau), pre, objective)
@@ -296,7 +293,7 @@ def _solve_equality(j, pre, r1, objective, opts):
         g = np.random.default_rng((opts.seed, b)).gamma(1.0, size=(nx, nx))
         branches.append(g / g.sum(axis=1, keepdims=True))
     branches.append(np.eye(nx))
-    tc = _project(np.stack(branches), r1, pre, opts.project_iters)
+    tc = _project(np.stack(branches), r1, pre)
     val = _value_bits(tc, pre, objective)
 
     pairs = [(a, b) for a in range(nx) for b in range(nx) if a < b]
@@ -308,7 +305,7 @@ def _solve_equality(j, pre, r1, objective, opts):
                 tc, val, gain = _line_search(
                     tc, val, x, u1, u2, r1, pre, objective, opts)
                 sweep_gain = max(sweep_gain, gain)
-        if sweep_gain < opts.improve_tol:
+        if sweep_gain < IMPROVE_TOL:
             status = "converged"
             break
     best = int(np.argmax(val))
@@ -387,9 +384,7 @@ class TwoWayChannels:
         if arr.ndim != 3:
             raise ParameterError(
                 f"v channel must be (|Y|, |U|, |V|), got shape {arr.shape}")
-        if float(arr.min()) < -SUM_TOL:
-            raise ParameterError("negative channel mass in v channel")
-        arr = np.where(arr > 0.0, arr, 0.0)
+        arr = _clipped(arr)
         sums = arr.sum(axis=2)
         if np.abs(sums - 1.0).max() > SUM_TOL:
             raise ParameterError("v channel rows must sum to 1")

@@ -33,6 +33,7 @@ Discrete-side conventions: rates and information quantities in bits.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +63,17 @@ def _bits_per_symbol(size):
 @dataclass(frozen=True)
 class Rates:
     """Code-construction rates in bits per symbol, with the typicality
-    slacks of the U layer (eps) and the V layer (eps2)."""
+    slack of the U layer (eps); the V layer's slack is eps2 = 2 eps."""
 
     r_u: float
     r_u_prime: float
     r_v: float
     r_v_prime: float
     eps: float
-    eps2: float
+
+    @property
+    def eps2(self):
+        return 2.0 * self.eps
 
 
 def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
@@ -103,7 +107,7 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
         r_v = i_v_y_xu + 6.0 * eps2 * h_v_u
         r_v_prime = i_v_x_u - 3.0 * eps2 * h_v_u
     return Rates(r_u=r_u, r_u_prime=r_u_prime, r_v=r_v,
-                 r_v_prime=r_v_prime, eps=epsilon, eps2=eps2)
+                 r_v_prime=r_v_prime, eps=epsilon)
 
 
 def _size(rate_bits, n):
@@ -125,6 +129,20 @@ def _typical_mask(codes, pmf_flat, eps, n):
             ok &= (cnt >= n * p * (1.0 - eps) - _COUNT_FUZZ) \
                 & (cnt <= n * p * (1.0 + eps) + _COUNT_FUZZ)
     return ok
+
+
+def _pick(codes, pmf, ll, eps, n, decoder):
+    """(row, found) among the candidate rows of codes, which index the
+    flat (ctx..., sym) cells of both pmf and ll.
+
+    Typicality: the lowest row typical for pmf, or (0, False) when none
+    is. ML: the row with the largest log-likelihood sum under ll.
+    """
+    if decoder == "ml":
+        return int(np.argmax(ll.ravel()[codes].sum(axis=1))), True
+    mask = _typical_mask(codes, pmf, eps, n)
+    found = bool(mask.any())
+    return (int(np.argmax(mask)) if found else 0), found
 
 
 def _distinct_rows(codebook, base):
@@ -330,48 +348,29 @@ def _decode_bob(y, omega_idx, code, decoder):
     """Bob's side given the public bin index: pick nu within the bin, then
     cover (u, y) with a V codeword. Also the eavesdropper's procedure when
     run on z."""
-    nu = code.nu_size
     lo = omega_idx * code.w_nu
     cand = code.u_codebook[lo:lo + code.w_nu]
-    found = False
-    if decoder == "typicality":
-        codes = y.astype(np.int16)[None, :] * nu + cand
-        mask = _typical_mask(codes, code.pmf_yu, code.rates.eps, code.n)
-        nu_idx = int(np.argmax(mask)) if mask.any() else 0
-        found = bool(mask.any())
-    else:
-        scores = code.ll_y_given_u[y[None, :], cand].sum(axis=1)
-        nu_idx = int(np.argmax(scores))
-        found = True
+    codes = y.astype(np.int16)[None, :] * code.nu_size + cand
+    nu_idx, found = _pick(codes, code.pmf_yu, code.ll_y_given_u,
+                          code.rates.eps, code.n, decoder)
     shat_u = cand[nu_idx]
 
     vcands = code.v_codebook(omega_idx, nu_idx)
     ny, nv = code.v_given_yu.shape[0], code.nv_size
-    if decoder == "typicality":
-        codes = (shat_u.astype(np.int32)[None, :] * ny
-                 + y.astype(np.int32)[None, :]) * nv + vcands
-        mask = _typical_mask(codes, code.pmf_uyv, code.rates.eps2, code.n)
-        flat = int(np.argmax(mask)) if mask.any() else 0
-    else:
-        scores = code.ll_v_given_uy[shat_u, y][
-            np.arange(code.n)[None, :], vcands].sum(axis=1)
-        flat = int(np.argmax(scores))
+    codes = (shat_u.astype(np.int32)[None, :] * ny
+             + y.astype(np.int32)[None, :]) * nv + vcands
+    flat, _ = _pick(codes, code.pmf_uyv, code.ll_v_given_uy,
+                    code.rates.eps2, code.n, decoder)
     return shat_u, nu_idx, flat // code.w_l, vcands[flat], found
 
 
 def _recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder):
     lo = k_idx * code.w_l
     acands = code.v_codebook(omega_idx, nu_idx)[lo:lo + code.w_l]
-    nu, nv = code.nu_size, code.nv_size
-    if decoder == "typicality":
-        codes = (x.astype(np.int32)[None, :] * nu
-                 + s_u.astype(np.int32)[None, :]) * nv + acands
-        mask = _typical_mask(codes, code.pmf_xuv, code.rates.eps2, code.n)
-        l_idx = int(np.argmax(mask)) if mask.any() else 0
-    else:
-        scores = code.ll_v_given_xu[x, s_u][
-            np.arange(code.n)[None, :], acands].sum(axis=1)
-        l_idx = int(np.argmax(scores))
+    codes = (x.astype(np.int32)[None, :] * code.nu_size
+             + s_u.astype(np.int32)[None, :]) * code.nv_size + acands
+    l_idx, _ = _pick(codes, code.pmf_xuv, code.ll_v_given_xu,
+                     code.rates.eps2, code.n, decoder)
     return acands[l_idx]
 
 
@@ -416,25 +415,34 @@ def sample_source(j, n, seed):
     return x.astype(np.uint8), y.astype(np.uint8), z.astype(np.uint8)
 
 
-def _bits_to_int(bits):
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
+def _pack_bits(bits):
+    """uint64 value of each MSB-first bit row along the last axis."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    shifts = np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits << shifts, axis=-1)
+
+
+def _unpack_bits(values, width):
+    """The `width` MSB-first low bits of each value, on a new last axis."""
+    shifts = np.arange(width - 1, -1, -1)
+    values = np.asarray(values)[..., None]
+    return ((values >> shifts.astype(values.dtype)) & 1).astype(np.uint8)
 
 
 def privacy_amplify(s_bits, hash_seed, k):
     """First k bits of the GF(2^N) product of s with the public seed.
 
-    Both inputs are bit sequences of equal length N (MSB first); N must
-    have a field table entry (8..64).
+    The last axis of each input holds N bits, MSB first; N must have a
+    field table entry (8..64). Leading axes are batch axes and broadcast
+    against each other, so one call hashes many inputs; the result has
+    shape (..., k).
     """
-    s_bits = np.asarray(s_bits)
-    hash_seed = np.asarray(hash_seed)
-    n_bits = s_bits.size
-    if hash_seed.size != n_bits:
+    s_bits = np.atleast_1d(s_bits)
+    hash_seed = np.atleast_1d(hash_seed)
+    n_bits = s_bits.shape[-1]
+    if hash_seed.shape[-1] != n_bits:
         raise ParameterError(
-            f"hash seed has {hash_seed.size} bits, input has {n_bits}")
+            f"hash seed has {hash_seed.shape[-1]} bits, input has {n_bits}")
     if n_bits not in POLY_TAPS:
         raise ParameterError(
             f"input length must be in [8, 64] bits, got {n_bits}")
@@ -444,9 +452,8 @@ def privacy_amplify(s_bits, hash_seed, k):
     for name, arr in (("s", s_bits), ("hash seed", hash_seed)):
         if np.any((arr != 0) & (arr != 1)):
             raise ParameterError(f"{name} must contain only bits")
-    prod = gf_mul(_bits_to_int(s_bits), _bits_to_int(hash_seed), n_bits)
-    return np.array([(prod >> (n_bits - 1 - i)) & 1 for i in range(k)],
-                    dtype=np.uint8)
+    prod = gf_mul(_pack_bits(s_bits), _pack_bits(hash_seed), n_bits)
+    return _unpack_bits(prod, n_bits)[..., :k]
 
 
 @dataclass(frozen=True)
@@ -531,6 +538,9 @@ def leakage_estimate(keys, views, rng, shuffles=SHUFFLE_ROUNDS):
     if trials != len(views) or trials == 0:
         raise ParameterError("keys and views must be equal-length and "
                              "non-empty")
+    if not isinstance(shuffles, int) or shuffles < 1:
+        raise ParameterError(
+            f"shuffles must be a positive int, got {shuffles!r}")
     mi = _plugin_mi_bits(list(zip(keys, views)), trials)
     nulls = []
     for _ in range(shuffles):
@@ -566,65 +576,47 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
         raise ParameterError(
             f"key length {params.k} exceeds the {n_bits}-bit hash input")
 
-    def serialize(u_seqs, v_seqs):
-        chunks = []
-        for u_s, v_s in zip(u_seqs, v_seqs):
-            if bits_u:
-                shifts = np.arange(bits_u - 1, -1, -1)
-                chunks.append(((u_s[:, None] >> shifts) & 1).ravel())
-            if bits_v:
-                shifts = np.arange(bits_v - 1, -1, -1)
-                chunks.append(((v_s[:, None] >> shifts) & 1).ravel())
-        return np.concatenate(chunks).astype(np.uint8)
-
-    errors = 0
+    trials, m, n = params.trials, params.m, params.n
+    # symbols by trial, party (Alice, Bob, Eve), block, layer (U, V)
+    syms = np.empty((trials, 3, m, 2, n), dtype=np.uint8)
+    hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
+    z_types = []
     encode_hits = 0
     decode_hits = 0
-    eve_hits = 0
-    key_counts = {}
-    views = []
-    keys_seen = []
-    for t in range(params.trials):
-        src = _stream(params.seed, 1, t)
-        xs, ys, zs = sample_source(j, params.n * params.m, src)
-        xs = xs.reshape(params.m, params.n)
-        ys = ys.reshape(params.m, params.n)
-        zs = zs.reshape(params.m, params.n)
-        s_u, s_v, sh_u, sh_v = [], [], [], []
-        eve_u, eve_v = [], []
-        for blk in range(params.m):
+    for t in range(trials):
+        xs, ys, zs = (a.reshape(m, n) for a in sample_source(
+            j, n * m, _stream(params.seed, 1, t)))
+        for blk in range(m):
             res = reconcile(xs[blk], ys[blk], code, params.decoder)
-            s_u.append(res.s_u)
-            s_v.append(res.s_v)
-            sh_u.append(res.shat_u)
-            sh_v.append(res.shat_v)
-            encode_hits += res.alice_found
-            decode_hits += res.bob_found
             e_u, _, _, e_v, _ = _decode_bob(
                 zs[blk], res.a_msg - 1, code, params.decoder)
-            eve_u.append(e_u)
-            eve_v.append(e_v)
-        hs = _stream(params.seed, 3, t).integers(
-            0, 2, n_bits).astype(np.uint8)
-        key = privacy_amplify(serialize(s_u, s_v), hs, params.k)
-        key_hat = privacy_amplify(serialize(sh_u, sh_v), hs, params.k)
-        errors += not np.array_equal(key, key_hat)
-        key_int = _bits_to_int(key)
-        eve_key = _bits_to_int(
-            privacy_amplify(serialize(eve_u, eve_v), hs, params.k))
-        eve_hits += eve_key == key_int
-        z_type = tuple(int((zs == c).sum()) for c in range(nz))
-        keys_seen.append(key_int)
-        key_counts[key_int] = key_counts.get(key_int, 0) + 1
-        views.append((eve_key, z_type))
+            syms[t, :, blk] = ((res.s_u, res.s_v), (res.shat_u, res.shat_v),
+                               (e_u, e_v))
+            encode_hits += res.alice_found
+            decode_hits += res.bob_found
+        hash_seeds[t] = _stream(params.seed, 3, t).integers(0, 2, n_bits)
+        z_types.append(tuple(int((zs == c).sum()) for c in range(nz)))
 
-    trials = params.trials
+    def layer_bits(layer, width):
+        return _unpack_bits(syms[:, :, :, layer], width).reshape(
+            trials, 3, m, n * width)
+
+    # each block contributes its U bits, then its V bits
+    s_bits = np.concatenate([layer_bits(0, bits_u), layer_bits(1, bits_v)],
+                            axis=-1).reshape(trials, 3, n_bits)
+    keys = _pack_bits(privacy_amplify(
+        s_bits, hash_seeds[:, None, :], params.k)).tolist()
+    keys_seen = [key for key, _, _ in keys]
+    views = [(eve, z_type) for (_, _, eve), z_type in zip(keys, z_types)]
+    errors = sum(key != bob for key, bob, _ in keys)
+    eve_hits = sum(key == eve for key, _, eve in keys)
+
     h_key = 0.0
-    for c in key_counts.values():
+    for c in Counter(keys_seen).values():
         h_key -= (c / trials) * math.log2(c / trials)
     leakage, null_mean, null_sd = leakage_estimate(
         keys_seen, views, _stream(params.seed, 4))
-    blocks = trials * params.m
+    blocks = trials * m
     return RunMetrics(
         p_e=errors / trials,
         leakage_est=leakage,

@@ -128,7 +128,7 @@ def _bits(value, width):
 
 
 def test_criterion_7_privacy_amplification():
-    from seqkey.gf2n import gf_mul_vec
+    from seqkey.gf2n import gf_mul
     n = 12
     rng = np.random.default_rng(2026)
     # collision rate over 1e5 sampled distinct pairs at k = 4
@@ -138,7 +138,7 @@ def test_criterion_7_privacy_amplification():
     sp = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
     sp[s == sp] ^= np.uint64(1)
     seeds = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
-    coll = (gf_mul_vec(s ^ sp, seeds, n) >> np.uint64(n - k)) == 0
+    coll = (gf_mul(s ^ sp, seeds, n) >> np.uint64(n - k)) == 0
     assert coll.mean() <= (1.0 + 0.05) / (1 << k)
     # key distance from uniform for k <= 4, 2000 trials each, via the
     # protocol-facing routine; uniform s has full min-entropy n

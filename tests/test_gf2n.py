@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqkey.errors import ParameterError
-from seqkey.gf2n import POLY_TAPS, gf_mul, gf_mul_vec, gf_pow, modulus
+from seqkey.gf2n import POLY_TAPS, gf_mul, gf_pow, modulus
 
 
 def _clmul(a, b):
@@ -120,31 +120,82 @@ class TestScalarMul:
         with pytest.raises(ParameterError):
             gf_mul(-1, 1, 8)
         with pytest.raises(ParameterError):
+            gf_mul(1, 1.0, 8)
+        with pytest.raises(ParameterError):
+            gf_mul(1 << 63, 1, 63)
+        # 2^64 overflows uint64, so it must be refused before any cast
+        with pytest.raises(ParameterError):
+            gf_mul(1 << 64, 1, 64)
+        with pytest.raises(ParameterError):
+            gf_mul(1, [3, 1 << 64], 64)
+        with pytest.raises(ParameterError):
             gf_pow(2, -1, 8)
+        assert int(gf_mul((1 << 64) - 1, 1, 64)) == (1 << 64) - 1
+
+    def test_pow_matches_repeated_multiplication(self):
+        for n in (8, 40, 64):
+            a = (1 << n) - 7
+            want = 1
+            for e in range(6):
+                assert int(gf_pow(a, e, n)) == want
+                want = _pmod(_clmul(want, a), modulus(n))
 
 
 class TestVectorMul:
-    @pytest.mark.parametrize("n", [8, 12, 16, 32])
+    """gf_mul on arrays against the independent carry-less reference."""
+
+    @pytest.mark.parametrize("n", sorted(POLY_TAPS))
     def test_matches_scalar(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.integers(0, 1 << n, size=200).astype(np.uint64)
-        b = rng.integers(0, 1 << n, size=200).astype(np.uint64)
-        out = gf_mul_vec(a, b, n)
-        for i in range(a.size):
-            assert int(out[i]) == gf_mul(int(a[i]), int(b[i]), n)
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        a = [rng.getrandbits(n) for _ in range(60)] + [top, top, 0, 1, top]
+        b = [rng.getrandbits(n) for _ in range(60)] + [top, 1, top, top, 0]
+        out = gf_mul(np.array(a, dtype=np.uint64),
+                     np.array(b, dtype=np.uint64), n)
+        assert out.dtype == np.uint64 and out.shape == (len(a),)
+        f = modulus(n)
+        assert [int(v) for v in out] == [
+            _pmod(_clmul(x, y), f) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize("n", [8, 33, 64])
+    def test_scalar_operands_give_0d_results(self, n):
+        a, b = (1 << n) - 1, (1 << n) - 2
+        want = _pmod(_clmul(a, b), modulus(n))
+        for out in (gf_mul(a, b, n), gf_mul(np.uint64(a), np.uint64(b), n),
+                    gf_mul(np.array(a, dtype=np.uint64), b, n)):
+            assert np.ndim(out) == 0
+            assert int(out) == want
 
     def test_broadcasting(self):
-        a = np.arange(16, dtype=np.uint64)
-        out = gf_mul_vec(a, np.uint64(7), 12)
-        assert out.shape == a.shape
-        assert int(out[3]) == gf_mul(3, 7, 12)
+        n = 64
+        rng = random.Random(3)
+        a = np.array([[rng.getrandbits(n)] for _ in range(4)],
+                     dtype=np.uint64)
+        b = np.array([rng.getrandbits(n) for _ in range(5)], dtype=np.uint64)
+        out = gf_mul(a, b, n)
+        assert out.shape == (4, 5)
+        f = modulus(n)
+        for i in range(4):
+            for j in range(5):
+                assert int(out[i, j]) == _pmod(
+                    _clmul(int(a[i, 0]), int(b[j])), f)
+        assert np.array_equal(gf_mul(a[:, 0], 1, n), a[:, 0])
+
+    def test_signed_operands_accepted(self):
+        out = gf_mul(np.arange(256, dtype=np.int64), 0x53, 8)
+        assert [int(v) for v in out] == [_pmod(_clmul(x, 0x53), modulus(8))
+                                         for x in range(256)]
 
     def test_wide_fields_rejected(self):
-        with pytest.raises(ParameterError):
-            gf_mul_vec(np.array([1], dtype=np.uint64),
-                       np.array([1], dtype=np.uint64), 40)
+        # only the table's fields exist: N = 7 and N = 65 have none
+        for n in (7, 65):
+            with pytest.raises(ParameterError):
+                gf_mul(np.array([1, 2], dtype=np.uint64), 1, n)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ParameterError):
-            gf_mul_vec(np.array([1 << 12], dtype=np.uint64),
-                       np.array([1], dtype=np.uint64), 12)
+        one = np.ones(2, dtype=np.uint64)
+        for bad in ([1, -1], [1, 1 << 12], [1.0, 2.0], np.float64(3.0)):
+            with pytest.raises(ParameterError):
+                gf_mul(np.asarray(bad), one, 12)
+            with pytest.raises(ParameterError):
+                gf_mul(one, np.asarray(bad), 12)

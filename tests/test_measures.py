@@ -147,6 +147,15 @@ def test_dist_validation():
         d.masses[0] = 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_masses_rejected(bad):
+    # a NaN used to be clipped to 0 and accepted
+    with pytest.raises(ParameterError):
+        DiscreteDist([bad, 1.0])
+    with pytest.raises(ParameterError):
+        DiscreteJoint([[bad, 0.5], [0.25, 0.25]])
+
+
 def test_joint_promotion_and_dims():
     j = DiscreteJoint(np.full((2, 2), 0.25))
     assert j.dims == (2, 2, 1)

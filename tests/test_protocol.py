@@ -23,6 +23,7 @@ from seqkey.protocol import (
     ProtocolParams,
     Rates,
     ReconCode,
+    RunMetrics,
     _distinct_rows,
     _encode_alice,
     _stream,
@@ -147,7 +148,7 @@ class TestReconCode:
         # nv = 1: the draw-then-clamp construction always gave zeros,
         # also when explicit rates ask for several V codewords per bin
         wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25,
-                     eps=0.15, eps2=0.3)
+                     eps=0.15)
         codes = (bsc_code(8), bsc_code(8, rates=wide))
         assert codes[1].w_k * codes[1].w_l == 16 * 4
         for code in codes:
@@ -160,7 +161,7 @@ class TestReconCode:
 
     def test_budget_guard(self):
         big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0,
-                    eps=0.15, eps2=0.3)
+                    eps=0.15)
         with pytest.raises(InfeasibleError):
             bsc_code(12, rates=big)
 
@@ -217,7 +218,7 @@ def _scan_encode(x, code):
 # BSC(0.2) test channel: no zero-mass (x, u) cell. At eps = 0.15 its
 # windows hold no integer count for n in {4, 8, 12}, so the rates widen eps.
 WIDE_EPS = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0,
-                 eps=0.5, eps2=1.0)
+                 eps=0.5)
 
 
 class TestEncodeAlice:
@@ -279,7 +280,7 @@ class TestReconcile:
         # spurious candidates and the error rate stays bounded away from 0
         base = design_rates(J_BSC, TC_ID, epsilon=0.15)
         low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
-                    r_v=0.0, r_v_prime=0.0, eps=0.15, eps2=0.3)
+                    r_v=0.0, r_v_prime=0.0, eps=0.15)
         code = bsc_code(10, seed=5, rates=low)
         from seqkey.protocol import _stream
         errs = 0
@@ -317,7 +318,7 @@ class TestPrivacyAmplify:
     def test_collision_rate_two_universal(self):
         # collision iff the top k bits of (s xor s') * seed vanish; the
         # exact rate over uniform seeds is 2^-k
-        from seqkey.gf2n import gf_mul_vec
+        from seqkey.gf2n import gf_mul
         rng = np.random.default_rng(3)
         n, k, m = 16, 4, 100_000
         s = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
@@ -325,7 +326,7 @@ class TestPrivacyAmplify:
         fix = s == sp
         sp[fix] ^= np.uint64(1)
         seeds = rng.integers(0, 1 << n, size=m, dtype=np.uint64)
-        prod = gf_mul_vec(s ^ sp, seeds, n)
+        prod = gf_mul(s ^ sp, seeds, n)
         coll = (prod >> np.uint64(n - k)) == 0
         assert coll.mean() <= (1 + 0.05) / (1 << k)
 
@@ -333,7 +334,7 @@ class TestPrivacyAmplify:
         # s uniform on a random 2^h subset of the field, seed public and
         # uniform; the exact joint TV from uniform obeys the 2^-(h-k)/2
         # leftover bound, computed by full enumeration at N = 12
-        from seqkey.gf2n import gf_mul_vec
+        from seqkey.gf2n import gf_mul
         n, k, h = 12, 3, 9
         rng = np.random.default_rng(8)
         subset = rng.choice(1 << n, size=1 << h, replace=False).astype(
@@ -341,11 +342,35 @@ class TestPrivacyAmplify:
         seeds = np.arange(1 << n, dtype=np.uint64)
         counts = np.zeros((1 << n, 1 << k))
         for s in subset:
-            key = gf_mul_vec(np.uint64(s), seeds, n) >> np.uint64(n - k)
+            key = gf_mul(np.uint64(s), seeds, n) >> np.uint64(n - k)
             np.add.at(counts, (seeds.astype(int), key.astype(int)), 1.0)
         joint = counts / (1 << h) / (1 << n)
         tv = 0.5 * np.abs(joint - 1.0 / (1 << (n + k))).sum()
         assert tv <= 2.0 ** (-(h - k) / 2)
+
+    def test_batch_equals_row_by_row(self):
+        rng = np.random.default_rng(21)
+        for n, k in ((12, 5), (64, 8), (64, 64)):
+            s = rng.integers(0, 2, size=(4, 3, n)).astype(np.uint8)
+            seeds = rng.integers(0, 2, size=(4, 1, n)).astype(np.uint8)
+            keys = privacy_amplify(s, seeds, k)
+            assert keys.shape == (4, 3, k) and keys.dtype == np.uint8
+            for i in range(4):
+                for j in range(3):
+                    assert np.array_equal(
+                        keys[i, j], privacy_amplify(s[i, j], seeds[i, 0], k))
+
+    def test_matches_integer_product(self):
+        # MSB-first bits in, the top k bits of the field product out
+        from seqkey.gf2n import gf_mul
+        rng = np.random.default_rng(22)
+        n, k = 64, 10
+        s = rng.integers(0, 2, size=n).astype(np.uint8)
+        seed = rng.integers(0, 2, size=n).astype(np.uint8)
+        prod = int(gf_mul(int("".join(map(str, s)), 2),
+                          int("".join(map(str, seed)), 2), n))
+        want = [(prod >> (n - 1 - i)) & 1 for i in range(k)]
+        assert privacy_amplify(s, seed, k).tolist() == want
 
     def test_domain(self):
         s = np.zeros(12, dtype=np.uint8)
@@ -381,6 +406,16 @@ class TestLeakageEstimate:
         with pytest.raises(ParameterError):
             leakage_estimate([], [], _stream(0))
 
+    def test_shuffles_must_be_positive(self):
+        # zero shuffles used to return NaN null statistics
+        from seqkey.protocol import _stream
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                leakage_estimate([0, 1], [1, 0], _stream(0), shuffles=bad)
+        mi, null_mean, null_sd = leakage_estimate(
+            [0, 1], [1, 0], _stream(0), shuffles=1)
+        assert mi == pytest.approx(1.0) and null_sd == 0.0
+
 
 class TestProtocolParams:
     def test_validation(self):
@@ -407,6 +442,32 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="differs from"):
             run_experiment(j, TC_ID, ProtocolParams(
                 n=8, m=1, k=4, epsilon=0.15, trials=5, seed=0))
+
+    @pytest.mark.parametrize("decoder, want", [
+        ("typicality", dict(
+            p_e=0.38333333333333336, leakage_est=5.74022392894185,
+            leakage_bias=5.74022392894185,
+            leakage_null_sd=8.005932084973442e-16,
+            uniformity_est=2.25977607105815,
+            alice_encode_rate=0.24583333333333332, bob_decode_rate=0.0,
+            eve_match_rate=0.6166666666666667)),
+        ("ml", dict(
+            p_e=0.85, leakage_est=5.773557262275184,
+            leakage_bias=5.773557262275183,
+            leakage_null_sd=6.843874359417885e-16,
+            uniformity_est=2.226442737724817,
+            alice_encode_rate=0.24583333333333332, bob_decode_rate=1.0,
+            eve_match_rate=0.0)),
+    ])
+    def test_v_layer_metrics_frozen(self, decoder, want):
+        # V copies Y, so every block hashes U bits then V bits (N = 64);
+        # values frozen from a per-trial hash before trials were batched
+        v_copies_y = np.zeros((2, 2, 2))
+        v_copies_y[0, :, 0] = v_copies_y[1, :, 1] = 1.0
+        mets = run_experiment(J_BSC, TC_ID, ProtocolParams(
+            n=8, m=4, k=8, epsilon=0.15, trials=60, seed=3,
+            decoder=decoder), v_given_yu=v_copies_y)
+        assert mets == RunMetrics(trials=60, n_bits=64, **want)
 
     def test_hash_length_guard(self):
         # 2 * 3 symbols = 6 bits: no field of that size

@@ -166,29 +166,16 @@ def _beta0_column(p, r1):
     return beta
 
 
-def cmd_capacity_bsc(args):
-    src = BscCascadeSource(args.p, args.q, prior=args.prior)
+def cmd_capacity_binary(args):
+    # the erasure bound never consults q; bec fixes it at the blind value
+    bec = args.model == "bec"
+    src = BscCascadeSource(args.p, 0.5 if bec else args.q, prior=args.prior)
     grid = parse_grid(args.r1)
 
     def point(r1):
+        wsk = c_wsk_bec(src, args.erasure, r1) if bec else c_wsk_bsc(src, r1)
         beta = _beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
-        return (r1, c_rec_bsc(src, r1), c_wsk_bsc(src, r1), beta)
-
-    rows = [point(r1) for r1 in grid]
-    _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
-          args.output)
-    return 0
-
-
-def cmd_capacity_bec(args):
-    # the erasure bound never consults q; fix it at the blind value
-    src = BscCascadeSource(args.p, 0.5, prior=args.prior)
-    grid = parse_grid(args.r1)
-
-    def point(r1):
-        beta = _beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
-        return (r1, c_rec_bsc(src, r1), c_wsk_bec(src, args.erasure, r1),
-                beta)
+        return (r1, c_rec_bsc(src, r1), wsk, beta)
 
     rows = [point(r1) for r1 in grid]
     _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
@@ -433,7 +420,7 @@ def build_parser():
     bsc.add_argument("--r1", required=True, metavar="KIND:START:STOP:N",
                      help="rate grid in bits, e.g. linear:0.02:0.6:20")
     _add_common(bsc)
-    bsc.set_defaults(func=cmd_capacity_bsc)
+    bsc.set_defaults(func=cmd_capacity_binary)
 
     bec = models.add_parser("bec", help="eavesdropper behind an erasure")
     bec.add_argument("--p", type=float, required=True)
@@ -441,7 +428,7 @@ def build_parser():
     bec.add_argument("--prior", type=float, default=0.5)
     bec.add_argument("--r1", required=True, metavar="KIND:START:STOP:N")
     _add_common(bec)
-    bec.set_defaults(func=cmd_capacity_bec)
+    bec.set_defaults(func=cmd_capacity_binary)
 
     gauss = models.add_parser("gauss", help="degraded Gaussian closed forms")
     gauss.add_argument("--rho-xy", type=float, required=True)

@@ -6,28 +6,36 @@ I(Y;U) - I(Z;U) (weak secret key) over test channels p_{U|X} with
 form is justified for degraded sources: both the objective and the
 constraint are convex in p_{U|X}, so the maximum over the (convex, compact)
 sublevel set {I(X;U|Y) <= R1} is attained at an extreme point, and the
-extreme points lie on the constraint boundary. No algorithm is published
-for the search itself, so this module uses multistart projected coordinate
-ascent:
+extreme points lie on the constraint boundary.
 
-* a batch of Dirichlet(1) random channels (plus the identity) advances in
-  lockstep as one (B, |X|, |U|) tensor,
-* each candidate is projected onto the equality surface by bisection along
-  the segment toward the identity channel (constraint too small) or toward
-  the uniform useless channel (too large) - the constraint is convex along
-  either segment and crosses the level exactly once,
-* coordinate moves transfer mass between two entries of one row, with a
-  golden-section search on the transfer evaluating the projected objective,
-* sweeps repeat until the best improvement falls below a threshold, and the
-  final answer is the max over the batch.
+The search maximizes the Lagrangian V - R / s over channels, where V is the
+objective, R = I(X;U|Y) and s = 1/lambda > 0. As U -> X -> (Y, Z) is
+Markov, R = I(X;U) - I(Y;U): for rec this is the information bottleneck
+(Tishby, Pereira & Bialek 1999), for wsk the bottleneck with side
+information (Chechik & Tishby 2002). Stationary channels satisfy
 
-Everything is exact dense arithmetic in bits; closed-form binary sources
-bound the optimizer's error in the test suite.
+    p(u|x) ~ p(u) exp(-beta KL(p_{Y|x}||p_{Y|u}) + gamma KL(p_{Z|x}||p_{Z|u}))
+
+with beta = 1 + s, and gamma = s (wsk) or 0 (rec). The identity channel and
+``starts`` Dirichlet(1) channels iterate this map in lockstep, as one
+(B, |X|, |U|) tensor of logits, accelerated by SQUAREM (Varadhan & Roland,
+Scand. J. Stat. 2008) except where an extrapolation lowers the Lagrangian.
+``measures.bisect`` searches log s over S_BRACKET for the point where the
+batch member with the largest Lagrangian starts to spend R1, warm-starting
+each fixed point from the last s that spent at least R1 (a collapsed channel
+never leaves the collapse); its best channel is the answer, and it has
+converged. ConvergenceError is raised instead when a fixed point still
+moves after FIXED_POINT_ITERS cycles, or when no s in the bracket gives a
+channel that spends R1 within RATE_TOL (the bracket misses R1, or the rate
+jumps over R1 at a transition). All arithmetic is dense and in bits;
+closed-form binary sources bound the optimizer's error in the test suite.
 
 For non-degraded joints with the wsk objective the equality reduction is
-not justified, so the optimizer sweeps equality surfaces R' <= R1 on a
-small grid and returns the best (the useless channel, value 0, is always a
-candidate).
+not justified, so the optimizer solves equality surfaces R' <= R1 on a
+grid of RATE_GRID rates and returns the best (the useless channel, value 0,
+is always a candidate). There the wsk map is not an ascent step: where the
+eavesdropper sees X better than the receiver, it can swap the U labels
+back and forth forever, and the solver raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -37,22 +45,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqkey.errors import ParameterError
+from seqkey.errors import ConvergenceError, ParameterError
 from seqkey.measures import (
     BITS,
     LN2,
     SUM_TOL,
+    ZERO_MASS,
     DiscreteJoint,
     _clipped,
+    bisect,
     check_rate,
     conditional_entropy,
     entropy_nats,
     xlogx,
 )
 
-GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-IMPROVE_TOL = 1e-8   # sweep improvement below this stops the ascent
-PROJECT_ITERS = 46   # bisection steps for the surface projection
+S_BRACKET = (1e-3, 1e4)    # bisection bracket of the multiplier s = 1/lambda
+FIXED_POINT_ITERS = 10000  # SQUAREM cycles allowed per fixed point
+FIXED_POINT_TOL = 1e-14    # channel-entry move per unit of beta that ends it
+RATE_TOL = 1e-9            # largest |I(X;U|Y) - r1| accepted at the answer
+RATE_GRID = 8              # R' grid size for non-degraded wsk inputs
+ALPHA_MAX = 1e3            # longest SQUAREM extrapolation, in plain steps
+LOG_FLOOR = math.log(ZERO_MASS)  # logits of channel entries that are zero
 
 _OBJECTIVES = ("rec", "wsk")
 
@@ -102,13 +116,15 @@ class TestChannel:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs of optimize_oneway; the defaults favour accuracy over speed."""
+    """Restarts of optimize_oneway's fixed point.
 
-    starts: int = 32          # Dirichlet(1) random starts (identity is added)
+    ``starts`` Dirichlet(1) channels drawn from ``default_rng((seed, b))``,
+    b = 0 .. starts - 1, plus the identity channel, iterate together; the
+    map can stop at a local optimum, so more starts search more widely.
+    """
+
+    starts: int = 32
     seed: int = 0
-    max_sweeps: int = 60
-    golden_iters: int = 24    # line-search refinement steps
-    rate_grid: int = 8        # R' grid size for non-degraded wsk inputs
 
 
 @dataclass(frozen=True)
@@ -199,84 +215,73 @@ def objective_wsk(j, tc):
     return float(_value_bits(tc.rows[None], _precompute(j), "wsk")[0])
 
 
-def _project(tc, r1, pre):
-    """Pull every batch element onto the surface I(X;U|Y) = r1.
-
-    Bisection along the segment to the identity channel when the constraint
-    is short, to the uniform channel when long; the constraint is convex on
-    either segment with the target level strictly between the endpoint
-    values, so each predicate below is monotone in the step size.
-    """
-    b, nx, nu = tc.shape
-    cur = _rate_bits(tc, pre)
-    toward_id = cur < r1
-    eye = np.eye(nx)[:, :nu]
-    flat = np.full((nx, nu), 1.0 / nu)
-    ends = np.where(toward_id[:, None, None], eye[None], flat[None])
-    lo = np.zeros(b)
-    hi = np.ones(b)
-    mid = 0.5 * (lo + hi)
-    for _ in range(PROJECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        cand = tc + mid[:, None, None] * (ends - tc)
-        cm = _rate_bits(cand, pre)
-        if np.abs(cm - r1).max() <= 1e-13:
-            return cand
-        inside = np.where(toward_id, cm < r1, cm > r1)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    lam = 0.5 * (lo + hi)
-    return tc + lam[:, None, None] * (ends - tc)
+def _log_softmax(theta):
+    # normalize logits over U, so that exp(theta) is row-stochastic
+    top = theta.max(axis=2, keepdims=True)
+    return theta - top - np.log(np.exp(theta - top).sum(axis=2, keepdims=True))
 
 
-def _golden_batch(fun, lo, hi, iters):
-    """Elementwise golden-section maximization of fun over [lo, hi]."""
-    c = hi - GOLD * (hi - lo)
-    d = lo + GOLD * (hi - lo)
-    fc = fun(c)
-    fd = fun(d)
-    for _ in range(iters):
-        swap = fc > fd
-        hi = np.where(swap, d, hi)
-        lo = np.where(swap, lo, c)
-        fresh = np.where(swap, hi - GOLD * (hi - lo), lo + GOLD * (hi - lo))
-        f_fresh = fun(fresh)
-        c, d = np.where(swap, fresh, d), np.where(swap, c, fresh)
-        fc, fd = np.where(swap, f_fresh, fd), np.where(swap, fc, f_fresh)
-    best = fc > fd
-    return np.where(best, c, d), np.where(best, fc, fd)
+def _log_mass(a):
+    # floored at ZERO_MASS, so every logit stays finite
+    return np.log(np.maximum(a, ZERO_MASS))
 
 
-def _line_search(tc, val, x, u1, u2, r1, pre, objective, opts):
-    lo = -tc[:, x, u2]
-    hi = tc[:, x, u1]
-
-    def shifted(tau):
-        cand = tc.copy()
-        cand[:, x, u1] = tc[:, x, u1] - tau
-        cand[:, x, u2] = tc[:, x, u2] + tau
-        return _project(cand, r1, pre)
-
-    def fval(tau):
-        return _value_bits(shifted(tau), pre, objective)
-
-    tau, _ = _golden_batch(fval, lo, hi, opts.golden_iters)
-    cand = shifted(tau)
-    cval = _value_bits(cand, pre, objective)
-    better = cval > val
-    if not better.any():
-        return tc, val, 0.0
-    gain = float(np.where(better, cval - val, 0.0).max())
-    tc = np.where(better[:, None, None], cand, tc)
-    val = np.where(better, cval, val)
-    return tc, val, gain
+def _step(theta, pre, beta, gamma):
+    """One update of the logits log p(u|x) by the module docstring's map:
+    without the KL terms in x alone, which the normalization cancels, it is
+    (1 - beta + gamma) log p(u) + E[beta log p(u,Y) - gamma log p(u,Z) | x]."""
+    tc = np.exp(theta)
+    p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
+    cross = 0.0
+    for weight, p_xa in ((beta, pre.p_xy), (-gamma, pre.p_xz)):
+        if weight:
+            p_ua = np.einsum("bxu,xa->bua", tc, p_xa)
+            cross = cross + weight * np.einsum("xa,bua->bxu", p_xa,
+                                               _log_mass(p_ua))
+    # symbols x with p(x) = 0 get cross = 0; their rows move no marginal
+    logit = ((1.0 - beta + gamma) * _log_mass(p_u)[:, None, :]
+             + cross / np.maximum(pre.p_x, ZERO_MASS)[:, None])
+    return np.maximum(_log_softmax(logit), LOG_FLOOR)
 
 
-def _result(value, channel, residual, rate_used, method, status):
+def _lagrangian(theta, pre, objective, s):
+    """(V - R / s, R) per batch member, in bits."""
+    tc = np.exp(theta)
+    rate = _rate_bits(tc, pre)
+    return _value_bits(tc, pre, objective) - rate / s, rate
+
+
+def _fixed_point(theta, pre, objective, s):
+    """Stationary logits of V - R / s from ``theta``. A SQUAREM cycle (S3)
+    takes two plain steps, extrapolates and steps once more; the tolerance
+    grows with beta, as the rounding error of the logits does."""
+    beta, gamma = 1.0 + s, (s if objective == "wsk" else 0.0)
+    tol = FIXED_POINT_TOL * beta
+    for _ in range(FIXED_POINT_ITERS):
+        t1 = _step(theta, pre, beta, gamma)
+        if np.abs(np.exp(t1) - np.exp(theta)).max() <= tol:
+            return t1
+        t2 = _step(t1, pre, beta, gamma)
+        r = t1 - theta
+        v = t2 - 2.0 * t1 + theta
+        ratio = np.linalg.norm(r, axis=(1, 2)) / np.maximum(
+            np.linalg.norm(v, axis=(1, 2)), ZERO_MASS)
+        a = -np.clip(ratio, 1.0, ALPHA_MAX)[:, None, None]
+        t3 = _step(_log_softmax(theta - 2.0 * a * r + a * a * v),
+                   pre, beta, gamma)
+        worse = (_lagrangian(t3, pre, objective, s)[0]
+                 < _lagrangian(t2, pre, objective, s)[0])
+        theta = np.where(worse[:, None, None], t2, t3)
+    raise ConvergenceError(
+        f"Lagrangian fixed point at s = {s!r} still moving after "
+        f"{FIXED_POINT_ITERS} SQUAREM cycles")
+
+
+def _result(value, channel, residual, rate_used, method):
     return CapacityResult(value=float(value), units=BITS, channel=channel,
                           constraint_residual=float(residual),
                           rate_used=float(rate_used), method=method,
-                          status=status)
+                          status="converged")
 
 
 def _solve_equality(j, pre, r1, objective, opts):
@@ -286,33 +291,36 @@ def _solve_equality(j, pre, r1, objective, opts):
         tc = TestChannel.identity(nx)
         val = _value_bits(tc.rows[None], pre, objective)[0]
         resid = _rate_bits(tc.rows[None], pre)[0] - r1
-        return _result(val, tc, resid, r1, "saturated-identity", "converged")
+        return _result(val, tc, resid, r1, "saturated-identity")
 
-    branches = []
-    for b in range(opts.starts):
-        g = np.random.default_rng((opts.seed, b)).gamma(1.0, size=(nx, nx))
-        branches.append(g / g.sum(axis=1, keepdims=True))
-    branches.append(np.eye(nx))
-    tc = _project(np.stack(branches), r1, pre)
-    val = _value_bits(tc, pre, objective)
+    draws = [np.random.default_rng((opts.seed, b)).gamma(1.0, size=(nx, nx))
+             for b in range(opts.starts)]
+    starts = np.stack(draws + [np.eye(nx)])
+    # logits of the last s that spent at least r1, and its best channel
+    warm = _log_mass(starts / starts.sum(axis=2, keepdims=True))
+    best = None
 
-    pairs = [(a, b) for a in range(nx) for b in range(nx) if a < b]
-    status = "max_sweeps"
-    for _ in range(opts.max_sweeps):
-        sweep_gain = 0.0
-        for x in range(nx):
-            for u1, u2 in pairs:
-                tc, val, gain = _line_search(
-                    tc, val, x, u1, u2, r1, pre, objective, opts)
-                sweep_gain = max(sweep_gain, gain)
-        if sweep_gain < IMPROVE_TOL:
-            status = "converged"
-            break
-    best = int(np.argmax(val))
-    channel = TestChannel(tc[best])
-    residual = _rate_bits(tc[best][None], pre)[0] - r1
-    method = f"multistart[{opts.starts + 1}]-projected-coordinate-ascent"
-    return _result(val[best], channel, residual, r1, method, status)
+    def spends_less(log_s):
+        nonlocal warm, best
+        s = math.exp(log_s)
+        theta = _fixed_point(warm, pre, objective, s)
+        lag, rate = _lagrangian(theta, pre, objective, s)
+        i = int(np.argmax(lag))
+        if rate[i] < r1:
+            return True
+        warm, best = theta, np.exp(theta[i])
+        return False
+
+    bisect(spends_less, *np.log(S_BRACKET))
+    residual = (math.inf if best is None
+                else _rate_bits(best[None], pre)[0] - r1)
+    if abs(residual) > RATE_TOL:
+        raise ConvergenceError(
+            f"no multiplier s in {S_BRACKET} spends the rate {r1!r} within "
+            f"{RATE_TOL}; the closest spends {r1 + residual!r}")
+    return _result(_value_bits(best[None], pre, objective)[0],
+                   TestChannel(best), residual, r1,
+                   f"lagrangian-squarem[{opts.starts + 1}]")
 
 
 def optimize_oneway(j, r1, objective="wsk", opts=None):
@@ -332,8 +340,14 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     -------
     CapacityResult
         Best value (bits), the maximizing channel, the achieved constraint
-        residual, and a status flag ("converged" or "max_sweeps": the sweep
-        budget ran out while still improving, value is best-so-far).
+        residual I(X;U|Y) - r1, and ``status`` "converged" (always: a solve
+        that misses its tolerances raises instead).
+
+    Raises
+    ------
+    ConvergenceError
+        A fixed point hit FIXED_POINT_ITERS, or no multiplier in S_BRACKET
+        gives a channel that spends r1 within RATE_TOL.
     """
     if objective not in _OBJECTIVES:
         raise ParameterError(f"objective must be one of {_OBJECTIVES}, "
@@ -352,18 +366,16 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     if r1 == 0.0:
         # only channels independent of X are feasible; every objective is 0
         return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
-                       "degenerate-zero-rate", "converged")
+                       "degenerate-zero-rate")
     if objective == "wsk" and not j.is_degraded():
         # equality in the constraint is only proved for degraded sources;
         # sweep equality surfaces at and below the budget and keep the best
-        best = None
-        for rp in np.linspace(r1 / opts.rate_grid, r1, opts.rate_grid):
-            res = _solve_equality(j, pre, float(rp), objective, opts)
-            if best is None or res.value > best.value:
-                best = res
+        best = max((_solve_equality(j, pre, float(rp), objective, opts)
+                    for rp in np.linspace(r1 / RATE_GRID, r1, RATE_GRID)),
+                   key=lambda res: res.value)
         if best.value < 0.0:
             return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
-                           "rate-sweep-useless", "converged")
+                           "rate-sweep-useless")
         return best
     return _solve_equality(j, pre, r1, objective, opts)
 

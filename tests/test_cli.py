@@ -121,6 +121,20 @@ class TestExitCodes:
         assert rc == 4
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "bsc", "--p", "0.1", "--q", "0.2", "--prior", "0.3",
+         "--r1", "linear:0.3:0.4:2"],
+        ["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3"],
+    ])
+    def test_unconverged_optimizer_is_4(self, argv, monkeypatch, capsys):
+        # one SQUAREM cycle cannot settle the Lagrangian fixed point, so the
+        # test-channel optimizer raises instead of printing a partial value
+        monkeypatch.setattr("seqkey.optimizer.FIXED_POINT_ITERS", 1)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "did not converge" in captured.err
+        assert captured.out == ""
+
 
 class TestCapacityCurves:
     def test_bsc_saturates(self, tmp_path):
@@ -303,6 +317,17 @@ class TestOptimize:
         assert rec["results"]["status"] == "converged"
         assert len(rec["results"]["channel"]) == 2
 
+    def test_wsk_record_is_exact(self, tmp_path):
+        # the record behind the frozen optimize_wsk digest
+        out = str(tmp_path / "o.jsonl")
+        assert main(["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3",
+                     "--objective", "wsk", "-o", out]) == 0
+        (rec,) = read_records(out)
+        res = rec["results"]
+        closed = c_wsk_bsc(BscCascadeSource(0.1, 0.2), 0.3)
+        assert abs(res["value_bits"] - closed) <= 1e-9
+        assert abs(res["constraint_residual"]) <= 1e-9
+
 
 # Digests of the output bytes of fixed commands. Refactors of the numerics
 # must leave every byte alone, so a digest mismatch is a behaviour change.
@@ -338,8 +363,10 @@ FROZEN_DIGESTS = {
         "38458b142729164282e9bc4bd4443e212240ea18fb239c6960f42af2550d45ec",
     "counterexample":
         "96551d9b72b4a5822cb937e2718710029bdc4f060518de68d9ed90587d4137e5",
+    # re-frozen for the Lagrangian optimizer; test_wsk_record_is_exact
+    # checks the value and residual behind it
     "optimize_wsk":
-        "273d89d665a0cef69f44135d9073c488413423e6388210fa89685a431719fade",
+        "9ffbd5900bf67b3e9949be501a27b2d56efd15b4d0e6e6016ec4f642238635a8",
     "quantize_uniform":
         "673ff1e3cde40f0e6fbd9503591335718d96f5e9082caa200affa855eebdc66f",
     "simulate_ml":

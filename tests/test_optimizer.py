@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from seqkey.binary import BscCascadeSource, c_rec_bsc, c_wsk_bsc
-from seqkey.errors import ParameterError
+from seqkey.binary import (
+    AsymBinarySource,
+    BscCascadeSource,
+    c_rec_bsc,
+    c_wsk_bsc,
+    counterexample_solve,
+)
+from seqkey.errors import ConvergenceError, ParameterError
 from seqkey.measures import (
     DiscreteJoint,
     binary_entropy,
@@ -24,13 +30,15 @@ from seqkey.optimizer import (
     optimize_oneway,
     rate_constraint,
 )
+from seqkey import optimizer
+from multistart_oracle import multistart_value
 
 SRC = BscCascadeSource(0.1, 0.2)
 JOINT = SRC.joint()
 H_XY = SRC.h_x_given_y()
 
 # trimmed-down options keep the unit tests fast; accuracy margins stay huge
-FAST = OptimizerOptions(starts=8, golden_iters=20, max_sweeps=40)
+FAST = OptimizerOptions(starts=8)
 
 
 def random_joint(seed, dims=(2, 2, 2)):
@@ -178,8 +186,7 @@ class TestOptimizeOneway:
     def test_nondegraded_wsk_sweeps_rates(self):
         j = nondegraded_tap()
         h = conditional_entropy(j, "x", "y")
-        opts = OptimizerOptions(starts=8, golden_iters=20, max_sweeps=40,
-                                rate_grid=4)
+        opts = OptimizerOptions(starts=8)
         res = optimize_oneway(j, 0.6 * h, objective="wsk", opts=opts)
         assert res.value > 0.3
         assert res.rate_used <= 0.6 * h + 1e-12
@@ -191,6 +198,69 @@ class TestOptimizeOneway:
         res = optimize_oneway(j, 0.5 * h, objective="rec", opts=FAST)
         assert 0.0 < res.value <= mutual_information(j, "x", "y") + 1e-9
         assert abs(res.constraint_residual) <= 1e-6
+
+
+class TestCounterexampleCrossCheck:
+    # the counterexample solver traces the constraint curve of the
+    # reference asymmetric source by bisection and golden-section search,
+    # independently of the test-channel optimizer
+    SRC = AsymBinarySource(0.23, 0.01, 0.03, 0.03, 0.01)
+
+    @pytest.mark.parametrize("r1", [None, 0.05])
+    def test_optimizer_matches_counterexample_solver(self, r1):
+        r1 = self.SRC.h_x_given_y() / 3.0 if r1 is None else r1
+        rep = counterexample_solve(self.SRC, r1)
+        j = self.SRC.joint()
+        wsk = optimize_oneway(j, r1, objective="wsk")
+        rec = optimize_oneway(j, r1, objective="rec")
+        assert abs(wsk.value - rep.c_wsk) <= 1e-9
+        assert abs(rec.value - rep.c_rec) <= 1e-9
+
+
+class TestAgainstMultistartOracle:
+    # the Lagrangian solver must do at least as well as the projected
+    # coordinate ascent it replaced, wherever that ascent is available
+
+    @pytest.mark.parametrize("objective", ["rec", "wsk"])
+    @pytest.mark.parametrize("r1", [0.3, 0.4])
+    def test_nonuniform_prior(self, r1, objective):
+        j = BscCascadeSource(0.1, 0.2, prior=0.3).joint()
+        got = optimize_oneway(j, r1, objective=objective).value
+        assert got >= multistart_value(j, r1, objective) - 1e-9
+
+    @pytest.mark.parametrize("frac", [0.3, 0.6])
+    def test_nondegraded_surfaces(self, frac):
+        j = nondegraded_tap()
+        r1 = frac * conditional_entropy(j, "x", "y")
+        res = optimizer._solve_equality(j, optimizer._precompute(j), r1,
+                                        "wsk", OptimizerOptions())
+        assert abs(res.constraint_residual) <= 1e-9
+        assert res.value >= multistart_value(j, r1, "wsk") - 1e-9
+
+    def test_three_symbol_source(self):
+        j = random_joint(11, (3, 3, 2))
+        r1 = 0.5 * conditional_entropy(j, "x", "y")
+        got = optimize_oneway(j, r1, objective="rec").value
+        assert got >= multistart_value(j, r1, "rec", starts=8) - 1e-9
+
+
+class TestVerdict:
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "FIXED_POINT_ITERS", 1)
+        with pytest.raises(ConvergenceError):
+            optimize_oneway(JOINT, 0.3, objective="wsk", opts=FAST)
+
+    def test_rate_miss_raises(self, monkeypatch):
+        # no channel can meet a negative tolerance on |R - r1|
+        monkeypatch.setattr(optimizer, "RATE_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="spends the rate"):
+            optimize_oneway(JOINT, 0.3, objective="rec", opts=FAST)
+
+    def test_bracket_missing_the_rate_raises(self, monkeypatch):
+        # every multiplier below the first transition leaves U useless
+        monkeypatch.setattr(optimizer, "S_BRACKET", (1e-3, 1e-2))
+        with pytest.raises(ConvergenceError, match="spends the rate"):
+            optimize_oneway(JOINT, 0.3, objective="rec", opts=FAST)
 
 
 class TestNonuniformPriorFallback:

@@ -1,41 +1,39 @@
 """Numerical optimizer for the one-way rate-limited capacity problems.
 
-The problems solved here are: maximize I(Y;U) (reconciliation) or
-I(Y;U) - I(Z;U) (weak secret key) over test channels p_{U|X} with
-|U| <= |X|, subject to the equality constraint I(X;U|Y) = R1. The equality
-form is justified for degraded sources: both the objective and the
-constraint are convex in p_{U|X}, so the maximum over the (convex, compact)
-sublevel set {I(X;U|Y) <= R1} is attained at an extreme point, and the
-extreme points lie on the constraint boundary.
+Maximize I(Y;U) (rec) or I(Y;U) - I(Z;U) (wsk) over test channels p_{U|X}
+with |U| <= |X| and I(X;U|Y) = R1. On degraded sources the objective and
+the constraint are convex in p_{U|X}, so the maximum over the sublevel set
+{I(X;U|Y) <= R1} lies on its boundary and the equality loses nothing.
 
-The search maximizes the Lagrangian V - R / s over channels, where V is the
-objective, R = I(X;U|Y) and s = 1/lambda > 0. As U -> X -> (Y, Z) is
-Markov, R = I(X;U) - I(Y;U): for rec this is the information bottleneck
-(Tishby, Pereira & Bialek 1999), for wsk the bottleneck with side
-information (Chechik & Tishby 2002). Stationary channels satisfy
+The search maximizes the Lagrangian V - R / s, with V the objective,
+R = I(X;U|Y) and s = 1/lambda > 0. As U -> X -> (Y, Z) is Markov,
+R = I(X;U) - I(Y;U): for rec this is the information bottleneck (Tishby,
+Pereira & Bialek 1999), for wsk the bottleneck with side information
+(Chechik & Tishby 2002). Stationary channels are fixed points of
 
     p(u|x) ~ p(u) exp(-beta KL(p_{Y|x}||p_{Y|u}) + gamma KL(p_{Z|x}||p_{Z|u}))
 
-with beta = 1 + s, and gamma = s (wsk) or 0 (rec). The identity channel and
-``starts`` Dirichlet(1) channels iterate this map in lockstep, as one
+with beta = 1 + s, and gamma = s (wsk) or 0 (rec). The map's move in the
+logits log p(u|x) is the Lagrangian's gradient over p(x), and the full step
+climbs when s D(p'_{ZU}||p_{ZU}) <= (1 + s) D(p'_{YU}||p_{YU}), which data
+processing gives for rec and on degraded sources; elsewhere the wsk map can
+overshoot (swap the U labels back and forth), so steps are damped. The
+identity and ``starts`` Dirichlet(1) channels iterate in lockstep as one
 (B, |X|, |U|) tensor of logits, accelerated by SQUAREM (Varadhan & Roland,
-Scand. J. Stat. 2008) except where an extrapolation lowers the Lagrangian.
-``measures.bisect`` searches log s over S_BRACKET for the point where the
-batch member with the largest Lagrangian starts to spend R1, warm-starting
-each fixed point from the last s that spent at least R1 (a collapsed channel
-never leaves the collapse); its best channel is the answer, and it has
-converged. ConvergenceError is raised instead when a fixed point still
-moves after FIXED_POINT_ITERS cycles, or when no s in the bracket gives a
+Scand. J. Stat. 2008). ``measures.bisect`` searches log s over S_BRACKET for
+the point where the best member starts to spend R1, warm-starting each fixed
+point from the last s that spent at least R1 (a collapsed channel never
+leaves the collapse). ConvergenceError is raised when the best member of a
+fixed point still moves after FIXED_POINT_ITERS cycles, or when no s gives a
 channel that spends R1 within RATE_TOL (the bracket misses R1, or the rate
-jumps over R1 at a transition). All arithmetic is dense and in bits;
-closed-form binary sources bound the optimizer's error in the test suite.
+jumps over it at a transition). Closed-form binary sources bound the
+optimizer's error in the test suite.
 
-For non-degraded joints with the wsk objective the equality reduction is
-not justified, so the optimizer solves equality surfaces R' <= R1 on a
-grid of RATE_GRID rates and returns the best (the useless channel, value 0,
-is always a candidate). There the wsk map is not an ascent step: where the
-eavesdropper sees X better than the receiver, it can swap the U labels
-back and forth forever, and the solver raises ConvergenceError.
+On non-degraded sources the wsk problem keeps I(X;U|Y) <= R1. The
+Lagrangian's maximizers trace the concave envelope of the (R, V) pairs, so
+the same search answers it where the maximum lies on that envelope: at R1
+if a multiplier reaches it, else with the best channel of the largest s
+that spends less, and never below the useless channel's 0.
 """
 
 from __future__ import annotations
@@ -64,8 +62,9 @@ S_BRACKET = (1e-3, 1e4)    # bisection bracket of the multiplier s = 1/lambda
 FIXED_POINT_ITERS = 10000  # SQUAREM cycles allowed per fixed point
 FIXED_POINT_TOL = 1e-14    # channel-entry move per unit of beta that ends it
 RATE_TOL = 1e-9            # largest |I(X;U|Y) - r1| accepted at the answer
-RATE_GRID = 8              # R' grid size for non-degraded wsk inputs
 ALPHA_MAX = 1e3            # longest SQUAREM extrapolation, in plain steps
+ARMIJO = 1e-4              # share of its first-order gain a step must realize
+LAG_NOISE = 1e-13          # rounding allowance of V and of R, in bits
 LOG_FLOOR = math.log(ZERO_MASS)  # logits of channel entries that are zero
 
 _OBJECTIVES = ("rec", "wsk")
@@ -252,29 +251,60 @@ def _lagrangian(theta, pre, objective, s):
 
 
 def _fixed_point(theta, pre, objective, s):
-    """Stationary logits of V - R / s from ``theta``. A SQUAREM cycle (S3)
-    takes two plain steps, extrapolates and steps once more; the tolerance
-    grows with beta, as the rounding error of the logits does."""
+    """Stationary logits of V - R / s from ``theta``, per batch member.
+
+    A cycle steps theta + eta (map(theta) - theta) twice and extrapolates
+    from the two steps (SQUAREM, scheme S3). The extrapolated point, else
+    the first step, is kept if its Lagrangian rises by ARMIJO of the first
+    step's first-order gain, less LAG_NOISE; else the member stays and its
+    eta halves. A member stops once no channel entry of its map moves more
+    than FIXED_POINT_TOL * beta (the logits' rounding error grows with
+    beta). Returns the logits and the mask of the members that stopped;
+    raises if the best member still moves after FIXED_POINT_ITERS cycles.
+    """
     beta, gamma = 1.0 + s, (s if objective == "wsk" else 0.0)
     tol = FIXED_POINT_TOL * beta
+    theta = theta.copy()
+    mapped = _step(theta, pre, beta, gamma)
+    lag = _lagrangian(theta, pre, objective, s)[0]
+    eta = np.ones(len(theta))
+    moving = np.ones(len(theta), dtype=bool)
     for _ in range(FIXED_POINT_ITERS):
-        t1 = _step(theta, pre, beta, gamma)
-        if np.abs(np.exp(t1) - np.exp(theta)).max() <= tol:
-            return t1
-        t2 = _step(t1, pre, beta, gamma)
-        r = t1 - theta
-        v = t2 - 2.0 * t1 + theta
+        moving &= (np.abs(np.exp(mapped) - np.exp(theta)).max(axis=(1, 2))
+                   > tol)
+        if not moving.any():
+            break
+        m = np.flatnonzero(moving)
+        t0, d, e = theta[m], mapped[m] - theta[m], eta[m][:, None, None]
+        t1 = _log_softmax(t0 + e * d)
+        m1 = _step(t1, pre, beta, gamma)
+        r = t1 - t0
+        v = _log_softmax(t1 + e * (m1 - t1)) - 2.0 * t1 + t0
         ratio = np.linalg.norm(r, axis=(1, 2)) / np.maximum(
             np.linalg.norm(v, axis=(1, 2)), ZERO_MASS)
         a = -np.clip(ratio, 1.0, ALPHA_MAX)[:, None, None]
-        t3 = _step(_log_softmax(theta - 2.0 * a * r + a * a * v),
-                   pre, beta, gamma)
-        worse = (_lagrangian(t3, pre, objective, s)[0]
-                 < _lagrangian(t2, pre, objective, s)[0])
-        theta = np.where(worse[:, None, None], t2, t3)
-    raise ConvergenceError(
-        f"Lagrangian fixed point at s = {s!r} still moving after "
-        f"{FIXED_POINT_ITERS} SQUAREM cycles")
+        new = _log_softmax(t0 - 2.0 * a * r + a * a * v)
+        new_mapped = _step(new, pre, beta, gamma)
+        new_lag = _lagrangian(new, pre, objective, s)[0]
+        # the map's move d is the Lagrangian's gradient over p(x), up to a
+        # constant per row, which a row-stochastic change cancels
+        rise = (pre.p_x[:, None] * (np.exp(t1) - np.exp(t0)) * d).sum(
+            axis=(1, 2)) / (s * LN2)
+        need = lag[m] + ARMIJO * rise - LAG_NOISE * (1.0 + 1.0 / s)
+        back = new_lag < need  # the extrapolation fails: try the first step
+        if back.any():
+            new[back], new_mapped[back] = t1[back], m1[back]
+            new_lag[back] = _lagrangian(t1[back], pre, objective, s)[0]
+        climbs = new_lag >= need
+        up = m[climbs]
+        theta[up], mapped[up], lag[up] = (new[climbs], new_mapped[climbs],
+                                          new_lag[climbs])
+        eta[m[~climbs]] *= 0.5
+    if moving[np.argmax(lag)]:
+        raise ConvergenceError(
+            f"Lagrangian fixed point at s = {s!r} still moving after "
+            f"{FIXED_POINT_ITERS} SQUAREM cycles")
+    return theta, ~moving
 
 
 def _result(value, channel, residual, rate_used, method):
@@ -284,7 +314,9 @@ def _result(value, channel, residual, rate_used, method):
                           status="converged")
 
 
-def _solve_equality(j, pre, r1, objective, opts):
+def _solve(j, pre, r1, objective, opts, at_most=False):
+    """Best channel on the surface I(X;U|Y) = r1 or, with ``at_most``,
+    the best channel found that spends no more than r1."""
     nx = j.dims[0]
     if abs(r1 - pre.h_xy_cond) <= 1e-12:
         # saturation: the identity channel is feasible and optimal
@@ -296,31 +328,40 @@ def _solve_equality(j, pre, r1, objective, opts):
     draws = [np.random.default_rng((opts.seed, b)).gamma(1.0, size=(nx, nx))
              for b in range(opts.starts)]
     starts = np.stack(draws + [np.eye(nx)])
-    # logits of the last s that spent at least r1, and its best channel
+    # logits of the last s that spent at least r1, and its best channel;
+    # the best channel of the last s that spent less
     warm = _log_mass(starts / starts.sum(axis=2, keepdims=True))
-    best = None
+    best = below = None
 
     def spends_less(log_s):
-        nonlocal warm, best
+        nonlocal warm, best, below
         s = math.exp(log_s)
-        theta = _fixed_point(warm, pre, objective, s)
+        theta, settled = _fixed_point(warm, pre, objective, s)
+        # members still moving at the cycle cap are not the answer: drop them
+        theta, warm = theta[settled], warm[settled]
         lag, rate = _lagrangian(theta, pre, objective, s)
         i = int(np.argmax(lag))
         if rate[i] < r1:
+            below = np.exp(theta[i])
             return True
         warm, best = theta, np.exp(theta[i])
         return False
 
     bisect(spends_less, *np.log(S_BRACKET))
+    method = f"lagrangian-squarem[{opts.starts + 1}]"
     residual = (math.inf if best is None
                 else _rate_bits(best[None], pre)[0] - r1)
-    if abs(residual) > RATE_TOL:
-        raise ConvergenceError(
-            f"no multiplier s in {S_BRACKET} spends the rate {r1!r} within "
-            f"{RATE_TOL}; the closest spends {r1 + residual!r}")
-    return _result(_value_bits(best[None], pre, objective)[0],
-                   TestChannel(best), residual, r1,
-                   f"lagrangian-squarem[{opts.starts + 1}]")
+    if abs(residual) <= RATE_TOL:
+        return _result(_value_bits(best[None], pre, objective)[0],
+                       TestChannel(best), residual, r1, method)
+    if at_most and below is not None:
+        # the channel sits on its own surface, below the budget
+        return _result(_value_bits(below[None], pre, objective)[0],
+                       TestChannel(below), 0.0,
+                       _rate_bits(below[None], pre)[0], method)
+    raise ConvergenceError(
+        f"no multiplier s in {S_BRACKET} spends the rate {r1!r} within "
+        f"{RATE_TOL}; the closest spends {r1 + residual!r}")
 
 
 def optimize_oneway(j, r1, objective="wsk", opts=None):
@@ -329,8 +370,8 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     Parameters
     ----------
     j : DiscreteJoint
-        Source model p_XYZ; must be degraded for the wsk objective unless
-        the rate-sweep fallback is acceptable (see module docstring).
+        Source model p_XYZ. For the wsk objective on a non-degraded source
+        the constraint is I(X;U|Y) <= r1 (see module docstring).
     r1 : float
         Public rate in bits, 0 <= r1 <= H(X|Y).
     objective : {"rec", "wsk"}
@@ -340,14 +381,17 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     -------
     CapacityResult
         Best value (bits), the maximizing channel, the achieved constraint
-        residual I(X;U|Y) - r1, and ``status`` "converged" (always: a solve
-        that misses its tolerances raises instead).
+        residual I(X;U|Y) - r1 (``rate_used`` and 0 for a non-degraded wsk
+        channel that spends less), and ``status`` "converged" (always: a
+        solve that misses its tolerances raises instead).
 
     Raises
     ------
     ConvergenceError
-        A fixed point hit FIXED_POINT_ITERS, or no multiplier in S_BRACKET
-        gives a channel that spends r1 within RATE_TOL.
+        The best channel of a fixed point still moved after
+        FIXED_POINT_ITERS cycles, or no multiplier in S_BRACKET gives a
+        channel that spends r1 within RATE_TOL (nor, for non-degraded wsk,
+        less than r1).
     """
     if objective not in _OBJECTIVES:
         raise ParameterError(f"objective must be one of {_OBJECTIVES}, "
@@ -368,16 +412,13 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
         return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
                        "degenerate-zero-rate")
     if objective == "wsk" and not j.is_degraded():
-        # equality in the constraint is only proved for degraded sources;
-        # sweep equality surfaces at and below the budget and keep the best
-        best = max((_solve_equality(j, pre, float(rp), objective, opts)
-                    for rp in np.linspace(r1 / RATE_GRID, r1, RATE_GRID)),
-                   key=lambda res: res.value)
+        # equality in the constraint is only proved for degraded sources
+        best = _solve(j, pre, r1, objective, opts, at_most=True)
         if best.value < 0.0:
             return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
-                           "rate-sweep-useless")
+                           "useless")
         return best
-    return _solve_equality(j, pre, r1, objective, opts)
+    return _solve(j, pre, r1, objective, opts)
 
 
 @dataclass(frozen=True)

@@ -366,7 +366,7 @@ FROZEN_DIGESTS = {
     # re-frozen for the Lagrangian optimizer; test_wsk_record_is_exact
     # checks the value and residual behind it
     "optimize_wsk":
-        "9ffbd5900bf67b3e9949be501a27b2d56efd15b4d0e6e6016ec4f642238635a8",
+        "4465f51a705c39fb31d91a210091608750058c4418bb0c59f8f832efb1f12a9c",
     "quantize_uniform":
         "673ff1e3cde40f0e6fbd9503591335718d96f5e9082caa200affa855eebdc66f",
     "simulate_ml":

@@ -15,6 +15,7 @@ from seqkey.measures import (
     DiscreteJoint,
     binary_entropy,
     conditional_entropy,
+    joint_from_cascade,
     mutual_information,
     star,
 )
@@ -45,6 +46,16 @@ def random_joint(seed, dims=(2, 2, 2)):
     rng = np.random.default_rng(seed)
     m = rng.random(dims)
     return DiscreteJoint(m / m.sum())
+
+
+def random_cascade(seed, dims):
+    # a degraded joint X -> Y -> Z with random prior and channel rows
+    rng = np.random.default_rng(seed)
+    p_x = rng.random(dims[0])
+    y_x, z_y = rng.random(dims[:2]), rng.random(dims[1:])
+    return joint_from_cascade(p_x / p_x.sum(),
+                              y_x / y_x.sum(axis=1, keepdims=True),
+                              z_y / z_y.sum(axis=1, keepdims=True))
 
 
 def nondegraded_tap():
@@ -232,7 +243,7 @@ class TestAgainstMultistartOracle:
     def test_nondegraded_surfaces(self, frac):
         j = nondegraded_tap()
         r1 = frac * conditional_entropy(j, "x", "y")
-        res = optimizer._solve_equality(j, optimizer._precompute(j), r1,
+        res = optimizer._solve(j, optimizer._precompute(j), r1,
                                         "wsk", OptimizerOptions())
         assert abs(res.constraint_residual) <= 1e-9
         assert res.value >= multistart_value(j, r1, "wsk") - 1e-9
@@ -242,6 +253,40 @@ class TestAgainstMultistartOracle:
         r1 = 0.5 * conditional_entropy(j, "x", "y")
         got = optimize_oneway(j, r1, objective="rec").value
         assert got >= multistart_value(j, r1, "rec", starts=8) - 1e-9
+
+
+class TestHardSources:
+    def test_nondegraded_wsk_where_the_map_swaps_labels(self):
+        # the undamped wsk map sends the identity channel to its label swap
+        # and back forever here; the damped step settles on the useless
+        # channel, as the projected ascent did (value 0 on every surface)
+        j = random_joint(1, (2, 2, 2))
+        r1 = 0.2 * conditional_entropy(j, "x", "y")
+        res = optimize_oneway(j, r1, objective="wsk")
+        assert abs(res.value) <= 1e-9
+        assert res.rate_used <= r1 + 1e-12
+        assert res.status == "converged"
+
+    def test_label_swap_is_damped(self):
+        # the identity channel alone: the plain map swaps its U labels and
+        # back, at an equal Lagrangian, so a step must also realize part of
+        # its first-order gain to be kept
+        j = random_joint(1, (2, 2, 2))
+        theta = optimizer._log_mass(np.eye(2))[None]
+        _, settled = optimizer._fixed_point(theta, optimizer._precompute(j),
+                                            "wsk", 1000.0)
+        assert settled.all()
+
+    def test_slow_member_that_is_not_the_answer_is_dropped(self):
+        # at s = 10.46 one restart's U column dies too slowly to settle
+        # within FIXED_POINT_ITERS cycles; the best member settles
+        j = random_cascade(1, (4, 3, 2))
+        r1 = 0.5 * conditional_entropy(j, "x", "y")
+        res = optimize_oneway(j, r1, objective="wsk")
+        assert abs(res.constraint_residual) <= 1e-9
+        # the multistart projected ascent (33 starts) stopped at its sweep
+        # cap here with 0.14626238456799534
+        assert res.value >= 0.14626238456799534 - 1e-9
 
 
 class TestVerdict:

@@ -243,8 +243,8 @@ class TestAgainstMultistartOracle:
     def test_nondegraded_surfaces(self, frac):
         j = nondegraded_tap()
         r1 = frac * conditional_entropy(j, "x", "y")
-        res = optimizer._solve(j, optimizer._precompute(j), r1,
-                                        "wsk", OptimizerOptions())
+        res = optimizer._solve(j, optimizer._precompute(j), r1, "wsk",
+                               OptimizerOptions())
         assert abs(res.constraint_residual) <= 1e-9
         assert res.value >= multistart_value(j, r1, "wsk") - 1e-9
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from seqkey.errors import InfeasibleError, ParameterError, RateSaturated
 from seqkey.measures import (
+    LN2,
     binary_entropy,
     bisect,
     check_prob,
@@ -32,9 +33,11 @@ from seqkey.measures import (
     joint_from_cascade,
     mutual_information,
     star,
+    xlogx,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SCAN_SLACK = 1e-12  # bits; far above the scan's rounding, below its steps
 
 
 def bsc_matrix(t):
@@ -271,8 +274,17 @@ def counterexample_fgh(src, ap):
     h the source term I(X;U); h - f equals the public rate I(X;U|Y) spent
     by the pair, and f - g the key rate it achieves.
     """
-    pu = mixture_weight(src, ap)
-    a1, a2 = ap.alpha1, ap.alpha2
+    return _fgh(src, ap.alpha1, ap.alpha2, mixture_weight(src, ap),
+                binary_entropy)
+
+
+def _h2_array(p):
+    # binary entropy in bits, elementwise, from the shared kernel
+    return -(xlogx(p) + xlogx(1.0 - p)) / LN2
+
+
+def _fgh(src, a1, a2, pu, h2):
+    # (f, g, h) with the binary entropy h2; floats or arrays of pairs
     a1b, a2b = 1.0 - a1, 1.0 - a2
     b1, b2 = src.beta1, src.beta2
     g1, g2 = src.gamma1, src.gamma2
@@ -283,9 +295,9 @@ def counterexample_fgh(src, ap):
     d = (a2b * (1.0 - b2) * g2 + a2b * b2 * (1.0 - g1)
          + a2 * (1.0 - b1) * (1.0 - g1) + a2 * b1 * g2)
     pub = 1.0 - pu
-    f = binary_entropy(src.p_y) - pu * binary_entropy(a) - pub * binary_entropy(b)
-    g = binary_entropy(src.p_z) - pu * binary_entropy(c) - pub * binary_entropy(d)
-    h = binary_entropy(src.p) - pu * binary_entropy(a1) - pub * binary_entropy(a2)
+    f = h2(src.p_y) - pu * h2(a) - pub * h2(b)
+    g = h2(src.p_z) - pu * h2(c) - pub * h2(d)
+    h = h2(src.p) - pu * h2(a1) - pub * h2(a2)
     return f, g, h
 
 
@@ -315,6 +327,37 @@ def _trace_alpha2(src, a1, r1):
     return bisect(lambda a2: spent(a2) >= r1, 0.0, 1.0 - src.p - 1e-13)
 
 
+def _scan(src, r1, alphas):
+    """Key rates f - g and rates f along the constraint curve, per alpha1.
+
+    The scalar ``_trace_alpha2`` run for every alpha1 at once: one
+    feasibility mask, one array bisection for alpha2 and f, g on arrays;
+    -inf marks the points off the feasible region.
+    """
+    def fgh(a1, a2):
+        # alpha1 < p and alpha2 < 1 - p keep the weight's denominator
+        # positive and the weight in [0, 1] up to rounding
+        pu = np.clip(((1.0 - a2) - src.p) / ((1.0 - a2) - a1), 0.0, 1.0)
+        return _fgh(src, a1, a2, pu, _h2_array)
+
+    def spent(a1, a2):
+        f, _, h = fgh(a1, a2)
+        return h - f
+
+    feasible = spent(alphas, 0.0) >= r1
+    if not feasible.any():
+        raise InfeasibleError(
+            "the constraint curve is empty in the feasible region")
+    a1 = alphas[feasible]
+    a2 = bisect(lambda a2: spent(a1, a2) >= r1, np.zeros_like(a1),
+                np.full_like(a1, 1.0 - src.p - 1e-13))
+    f, g, _ = fgh(a1, a2)
+    wsk = np.full(alphas.shape, -math.inf)
+    rec = np.full(alphas.shape, -math.inf)
+    wsk[feasible], rec[feasible] = f - g, f
+    return wsk, rec
+
+
 def _golden_max(fun, lo, hi, tol=1e-11):
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
@@ -340,7 +383,8 @@ def counterexample_solve(src, r1, grid=512):
     r1 : float
         Public rate in bits, strictly inside (0, H(X|Y)).
     grid : int
-        Points of the alpha1 sweep before golden-section refinement.
+        Points of the alpha1 sweep before golden-section refinement, at
+        least 2.
 
     Returns
     -------
@@ -350,15 +394,19 @@ def counterexample_solve(src, r1, grid=512):
     constraint (h - f) = r1 pins alpha2 by bisection (the mirror region
     alpha1 > p describes the same channels with the U labels swapped, so
     sweeping one region is exhaustive). Both objectives are maximized
-    along the curve by a scan plus golden-section refinement; ties keep
-    the lexicographically smallest pair because the scan only replaces a
-    candidate on strict improvement from the low end.
+    along the curve by a scan plus golden-section refinement. The scan
+    solves every grid point in one array bisection; the grid points within
+    SCAN_SLACK of its maximum are compared again on scalar floats, and the
+    first maximum (the smallest alpha1 of a tie) is the refinement's
+    center. The refinement and every reported number run on scalar floats.
     """
     r1 = float(r1)
     hxy = src.h_x_given_y()
     if not 0.0 < r1 < hxy:
         raise ParameterError(
             f"rate must lie strictly inside (0, H(X|Y)) = (0, {hxy}), got {r1!r}")
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise ParameterError(f"grid needs at least 2 points, got {grid!r}")
 
     def on_curve(a1):
         a2 = _trace_alpha2(src, a1, r1)
@@ -368,38 +416,35 @@ def counterexample_solve(src, r1, grid=512):
         f, g, _ = counterexample_fgh(src, pair)
         return pair, f, g
 
-    alphas = np.linspace(0.0, src.p, grid, endpoint=False)
-    best_wsk = best_rec = None
-    step = alphas[1] - alphas[0]
-    for a1 in alphas:
-        got = on_curve(float(a1))
+    def value(a1, key):
+        got = on_curve(a1)
         if got is None:
-            continue
-        pair, f, g = got
-        if best_wsk is None or f - g > best_wsk[0]:
-            best_wsk = (f - g, pair)
-        if best_rec is None or f > best_rec[0]:
-            best_rec = (f, pair)
-    if best_wsk is None:
-        raise InfeasibleError("the constraint curve is empty in the feasible region")
+            return -math.inf
+        _, f, g = got
+        return f - g if key == "wsk" else f
+
+    alphas = np.linspace(0.0, src.p, grid, endpoint=False)
+    step = alphas[1] - alphas[0]
+
+    def center(scanned, key):
+        # the scan's floats can differ from the scalar ones in the last
+        # bits (np.log against math.log), which decides a maximum only
+        # where the curve is flat to rounding; so the first scalar
+        # maximum among the points near the scan's maximum is the center
+        near = alphas[scanned >= scanned.max() - SCAN_SLACK]
+        exact = [value(float(a1), key) for a1 in near]
+        return float(near[int(np.argmax(exact))])
 
     def refined(center, key):
         lo = max(center - step, 0.0)
         hi = min(center + step, src.p - 1e-12)
-
-        def value(a1):
-            got = on_curve(a1)
-            if got is None:
-                return -math.inf
-            _, f, g = got
-            return f - g if key == "wsk" else f
-
-        a1 = _golden_max(value, lo, hi)
+        a1 = _golden_max(lambda a1: value(a1, key), lo, hi)
         got = on_curve(a1)
         return got if got is not None else on_curve(center)
 
-    wsk_pair, fw, gw = refined(best_wsk[1].alpha1, "wsk")
-    rec_pair, fr, gr = refined(best_rec[1].alpha1, "rec")
+    wsk, rec = _scan(src, r1, alphas)
+    wsk_pair, fw, gw = refined(center(wsk, "wsk"), "wsk")
+    rec_pair, fr, gr = refined(center(rec, "rec"), "rec")
     _, _, hw = counterexample_fgh(src, wsk_pair)
     _, _, hr = counterexample_fgh(src, rec_pair)
     c_wsk = fw - gw

@@ -20,7 +20,8 @@ by index (``0``, ``(1, 2)``).
 
 The numeric primitives the other modules share have their only
 implementation here: ``xlogx`` and ``entropy_nats`` (the entropy kernel),
-``bisect`` (scalar bisection) and ``check_rate`` (public-rate validation).
+``bisect`` (bisection, one root or one per array element) and
+``check_rate`` (public-rate validation).
 """
 
 from __future__ import annotations
@@ -72,7 +73,25 @@ def bisect(below, lo, hi):
     [lo, hi]. Runs 200 halvings or stops once the midpoint no longer lies
     strictly inside the interval (float resolution); returns the midpoint
     of the last interval.
+
+    Array brackets (``lo`` or ``hi`` not 0-d) solve one root per element:
+    every interval is halved at once, ``below`` maps the array of midpoints
+    to a bool array, an element stops as a scalar bracket would, and the
+    loop ends when all have stopped, so each element gets the float the
+    scalar bracket would give. Scalar brackets keep a plain float loop.
     """
+    if np.ndim(lo) or np.ndim(hi):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            live = (lo < mid) & (mid < hi)
+            if not live.any():
+                break
+            up = below(mid)
+            lo = np.where(live & up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
+        return 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -28,6 +28,8 @@ from seqkey.measures import (
     star,
 )
 
+from counterexample_oracle import oracle_solve
+
 # the reference counterexample parameter set
 PAPER_SRC = AsymBinarySource(p=0.23, beta1=0.01, beta2=0.03,
                              gamma1=0.03, gamma2=0.01)
@@ -206,3 +208,36 @@ def test_counterexample_solve_rate_domain():
         counterexample_solve(PAPER_SRC, 0.0)
     with pytest.raises(ParameterError):
         counterexample_solve(PAPER_SRC, PAPER_SRC.h_x_given_y())
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_counterexample_solve_rejects_grid_below_two(grid):
+    with pytest.raises(ParameterError, match="at least 2"):
+        counterexample_solve(PAPER_SRC, PAPER_SRC.h_x_given_y() / 3.0,
+                             grid=grid)
+
+
+SYMMETRIC_SRC = AsymBinarySource(p=0.5, beta1=0.05, beta2=0.05,
+                                 gamma1=0.08, gamma2=0.08)
+# (source, grids): the dense grid only for the command's own sources
+_SCAN_CASES = [
+    (PAPER_SRC, (2, 64, 512)),
+    (SYMMETRIC_SRC, (2, 64, 512)),
+    (AsymBinarySource(0.7, 0.12, 0.04, 0.2, 0.09), (2, 64)),
+    (AsymBinarySource(0.35, 0.25, 0.1, 0.05, 0.15), (2, 64)),
+    # Y independent of X: f and f - g are 0 along the whole curve, up to
+    # rounding, so only the scalar floats can pick the same maximum
+    (AsymBinarySource(0.3, 0.5, 0.5, 0.1, 0.2), (2, 64)),
+]
+
+
+@pytest.mark.parametrize("src,grids", _SCAN_CASES, ids=[
+    "reference", "symmetric", "skew_a", "skew_b", "flat"])
+@pytest.mark.parametrize("share", [0.05, 1.0 / 3.0, 0.7])
+def test_counterexample_solve_equals_scalar_scan(src, grids, share):
+    # the array scan must pick the grid points the point-by-point scan
+    # picks, so every reported float is the same
+    r1 = src.h_x_given_y() * share
+    for grid in grids:
+        assert counterexample_solve(src, r1, grid=grid) == oracle_solve(
+            src, r1, grid=grid)

@@ -223,6 +223,14 @@ class TestCounterexample:
         assert rc == 1
         assert "no gap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_is_2(self, grid, capsys):
+        # exit 1 means "no gap"; a grid that cannot be scanned is a bad
+        # parameter
+        rc = main(["counterexample", "--grid", grid])
+        assert rc == 2
+        assert "at least 2" in capsys.readouterr().err
+
 
 class TestQuantize:
     def test_uniform_rows_obey_bound(self, tmp_path):

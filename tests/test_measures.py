@@ -378,6 +378,25 @@ def test_bisect_stops_at_float_resolution_or_200_halvings():
     assert len(calls) == 200
 
 
+def test_bisect_array_brackets_match_scalar_brackets():
+    # an inner root, roots at either end, an empty and a reversed bracket,
+    # the 200-halving cap (root at 0) and a bracket of a few ulps
+    c = np.array([2.0, 1.0, 4.0, 3.0, 3.0, 0.0, 2.5, 2.0])
+    lo = np.array([1.0, 1.0, 1.0, 1.7, 1.9, 0.0, 1.5,
+                   math.sqrt(2.0) - 4e-16])
+    hi = np.array([2.0, 2.0, 2.0, 1.7, 1.2, 1.0, 1.6,
+                   math.sqrt(2.0) + 4e-16])
+    got = bisect(lambda x: x * x < c, lo, hi)
+    want = [bisect(lambda x, ci=ci: x * x < ci, a, b)
+            for ci, a, b in zip(c.tolist(), lo.tolist(), hi.tolist())]
+    assert got.shape == c.shape
+    assert got.tolist() == want
+    # a scalar end broadcasts against an array end
+    got = bisect(lambda x: x * x < c[:3], 0.0, hi[:3])
+    assert got.tolist() == [bisect(lambda x, ci=ci: x * x < ci, 0.0, b)
+                            for ci, b in zip(c[:3].tolist(), hi[:3].tolist())]
+
+
 def _entropy_oracles(a, axis):
     """The entropy formulas the package used before the shared kernel."""
     safe = np.where(a > 0.0, a, 1.0)

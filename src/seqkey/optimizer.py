@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,28 +164,45 @@ def _precompute(j):
     )
 
 
-def _h_joint_bits(tc, p_xa):
-    # H(U, A) for A with pair masses p_xa; tc is (B, nx, nu)
-    p_ua = np.einsum("bxu,xa->bua", tc, p_xa)
-    return entropy_nats(p_ua, (1, 2)) / LN2
+class _Masses(NamedTuple):
+    """A (B, nx, nu) batch of channels with the masses that the map and
+    the Lagrangian share: p(u), p(u,y) and, for wsk only, p(u,z)."""
+
+    tc: np.ndarray
+    p_u: np.ndarray
+    p_uy: np.ndarray
+    p_uz: np.ndarray | None
+
+    def take(self, idx):
+        return _Masses(*(None if a is None else a[idx] for a in self))
 
 
-def _h_u_given_x_bits(tc, p_x):
-    return -(p_x[None, :, None] * xlogx(tc)).sum(axis=(1, 2)) / LN2
+def _masses(tc, pre, objective):
+    p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
+    p_uy = np.einsum("bxu,xa->bua", tc, pre.p_xy)
+    p_uz = (np.einsum("bxu,xa->bua", tc, pre.p_xz) if objective == "wsk"
+            else None)
+    return _Masses(tc, p_u, p_uy, p_uz)
+
+
+def _value_rate(m, pre, objective):
+    """(V, R) per batch member in bits, with one H(U,Y) for both."""
+    h_uy = entropy_nats(m.p_uy, (1, 2)) / LN2
+    # I(X;U|Y) = H(U,Y) - H(Y) - H(U|X), valid because U depends on X alone
+    h_u_x = -(pre.p_x[None, :, None] * xlogx(m.tc)).sum(axis=(1, 2)) / LN2
+    rate = h_uy - pre.h_y - h_u_x
+    if objective == "rec":
+        return entropy_nats(m.p_u, 1) / LN2 + pre.h_y - h_uy, rate
+    h_uz = entropy_nats(m.p_uz, (1, 2)) / LN2
+    return (h_uz - pre.h_z) - (h_uy - pre.h_y), rate
 
 
 def _rate_bits(tc, pre):
-    # I(X;U|Y) = H(U,Y) - H(Y) - H(U|X), valid because U depends on X alone
-    return _h_joint_bits(tc, pre.p_xy) - pre.h_y - _h_u_given_x_bits(tc, pre.p_x)
+    return _value_rate(_masses(tc, pre, "rec"), pre, "rec")[1]
 
 
 def _value_bits(tc, pre, objective):
-    h_uy = _h_joint_bits(tc, pre.p_xy)
-    if objective == "rec":
-        p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
-        return entropy_nats(p_u, 1) / LN2 + pre.h_y - h_uy
-    h_uz = _h_joint_bits(tc, pre.p_xz)
-    return (h_uz - pre.h_z) - (h_uy - pre.h_y)
+    return _value_rate(_masses(tc, pre, objective), pre, objective)[0]
 
 
 def _check_pair(j, tc):
@@ -225,29 +243,27 @@ def _log_mass(a):
     return np.log(np.maximum(a, ZERO_MASS))
 
 
-def _step(theta, pre, beta, gamma):
-    """One update of the logits log p(u|x) by the module docstring's map:
-    without the KL terms in x alone, which the normalization cancels, it is
+def _step(m, pre, beta, gamma):
+    """One update of the logits log p(u|x) by the module docstring's map,
+    from the masses of the current channels: without the KL terms in x
+    alone, which the normalization cancels, it is
     (1 - beta + gamma) log p(u) + E[beta log p(u,Y) - gamma log p(u,Z) | x]."""
-    tc = np.exp(theta)
-    p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
     cross = 0.0
-    for weight, p_xa in ((beta, pre.p_xy), (-gamma, pre.p_xz)):
+    for weight, p_xa, p_ua in ((beta, pre.p_xy, m.p_uy),
+                               (-gamma, pre.p_xz, m.p_uz)):
         if weight:
-            p_ua = np.einsum("bxu,xa->bua", tc, p_xa)
             cross = cross + weight * np.einsum("xa,bua->bxu", p_xa,
                                                _log_mass(p_ua))
     # symbols x with p(x) = 0 get cross = 0; their rows move no marginal
-    logit = ((1.0 - beta + gamma) * _log_mass(p_u)[:, None, :]
+    logit = ((1.0 - beta + gamma) * _log_mass(m.p_u)[:, None, :]
              + cross / np.maximum(pre.p_x, ZERO_MASS)[:, None])
     return np.maximum(_log_softmax(logit), LOG_FLOOR)
 
 
-def _lagrangian(theta, pre, objective, s):
+def _lagrangian(m, pre, objective, s):
     """(V - R / s, R) per batch member, in bits."""
-    tc = np.exp(theta)
-    rate = _rate_bits(tc, pre)
-    return _value_bits(tc, pre, objective) - rate / s, rate
+    value, rate = _value_rate(m, pre, objective)
+    return value - rate / s, rate
 
 
 def _fixed_point(theta, pre, objective, s):
@@ -264,9 +280,14 @@ def _fixed_point(theta, pre, objective, s):
     """
     beta, gamma = 1.0 + s, (s if objective == "wsk" else 0.0)
     tol = FIXED_POINT_TOL * beta
+
+    def masses(t):
+        return _masses(np.exp(t), pre, objective)
+
     theta = theta.copy()
-    mapped = _step(theta, pre, beta, gamma)
-    lag = _lagrangian(theta, pre, objective, s)[0]
+    here = masses(theta)
+    mapped = _step(here, pre, beta, gamma)
+    lag = _lagrangian(here, pre, objective, s)[0]
     eta = np.ones(len(theta))
     moving = np.ones(len(theta), dtype=bool)
     for _ in range(FIXED_POINT_ITERS):
@@ -277,24 +298,27 @@ def _fixed_point(theta, pre, objective, s):
         m = np.flatnonzero(moving)
         t0, d, e = theta[m], mapped[m] - theta[m], eta[m][:, None, None]
         t1 = _log_softmax(t0 + e * d)
-        m1 = _step(t1, pre, beta, gamma)
+        at_t1 = masses(t1)
+        m1 = _step(at_t1, pre, beta, gamma)
         r = t1 - t0
         v = _log_softmax(t1 + e * (m1 - t1)) - 2.0 * t1 + t0
         ratio = np.linalg.norm(r, axis=(1, 2)) / np.maximum(
             np.linalg.norm(v, axis=(1, 2)), ZERO_MASS)
         a = -np.clip(ratio, 1.0, ALPHA_MAX)[:, None, None]
         new = _log_softmax(t0 - 2.0 * a * r + a * a * v)
-        new_mapped = _step(new, pre, beta, gamma)
-        new_lag = _lagrangian(new, pre, objective, s)[0]
+        at_new = masses(new)
+        new_mapped = _step(at_new, pre, beta, gamma)
+        new_lag = _lagrangian(at_new, pre, objective, s)[0]
         # the map's move d is the Lagrangian's gradient over p(x), up to a
         # constant per row, which a row-stochastic change cancels
-        rise = (pre.p_x[:, None] * (np.exp(t1) - np.exp(t0)) * d).sum(
+        rise = (pre.p_x[:, None] * (at_t1.tc - np.exp(t0)) * d).sum(
             axis=(1, 2)) / (s * LN2)
         need = lag[m] + ARMIJO * rise - LAG_NOISE * (1.0 + 1.0 / s)
         back = new_lag < need  # the extrapolation fails: try the first step
         if back.any():
             new[back], new_mapped[back] = t1[back], m1[back]
-            new_lag[back] = _lagrangian(t1[back], pre, objective, s)[0]
+            new_lag[back] = _lagrangian(at_t1.take(back), pre, objective,
+                                        s)[0]
         climbs = new_lag >= need
         up = m[climbs]
         theta[up], mapped[up], lag[up] = (new[climbs], new_mapped[climbs],
@@ -339,7 +363,8 @@ def _solve(j, pre, r1, objective, opts, at_most=False):
         theta, settled = _fixed_point(warm, pre, objective, s)
         # members still moving at the cycle cap are not the answer: drop them
         theta, warm = theta[settled], warm[settled]
-        lag, rate = _lagrangian(theta, pre, objective, s)
+        lag, rate = _lagrangian(_masses(np.exp(theta), pre, objective),
+                                pre, objective, s)
         i = int(np.argmax(lag))
         if rate[i] < r1:
             below = np.exp(theta[i])

@@ -56,6 +56,20 @@ def _stream(seed, *ids):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw_symbols(rng, pmf, shape):
+    """uint8 symbols i.i.d. from ``pmf``, equal to
+    ``rng.choice(len(pmf), shape, p=pmf).astype(np.uint8)``: the same
+    uniforms, each counted against the same normalized CDF, without the
+    int64 search result."""
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    draws = rng.random(shape)
+    out = np.zeros(shape, dtype=np.uint8)
+    for c in cdf[:-1]:
+        out += draws >= c
+    return out
+
+
 def _bits_per_symbol(size):
     return 0 if size <= 1 else (size - 1).bit_length()
 
@@ -282,8 +296,7 @@ class ReconCode:
                                  p_xuv / np.where(p_xu_v > 0.0, p_xu_v,
                                                   1.0), 1.0 / nv)
 
-        u_codebook = _stream(seed, 0).choice(
-            nu, size=(w_u * w_nu, n), p=p_u).astype(np.uint8)
+        u_codebook = _draw_symbols(_stream(seed, 0), p_u, (w_u * w_nu, n))
         u_words, u_first_rows = _distinct_rows(u_codebook, nu)
 
         return cls(

@@ -25,6 +25,7 @@ from seqkey.protocol import (
     ReconCode,
     RunMetrics,
     _distinct_rows,
+    _draw_symbols,
     _encode_alice,
     _stream,
     design_rates,
@@ -99,6 +100,29 @@ class TestReconCode:
         b = bsc_code(8, seed=3).u_codebook
         assert np.array_equal(a, b)
         assert not np.array_equal(a, bsc_code(8, seed=4).u_codebook)
+
+    @pytest.mark.parametrize("pmf", [
+        [0.5, 0.5],                   # uniform
+        [0.95, 0.05],                 # skewed
+        [0.4, 0.0, 0.6],              # a symbol with zero mass
+        [0.2, 0.3, 0.5],              # |U| = 3
+        [0.1, 0.2, 0.3, 0.4],         # |U| = 4
+    ])
+    def test_symbol_draw_equals_generator_choice(self, pmf):
+        p_u = np.array(pmf)
+        got = _draw_symbols(_stream(7, 0), p_u, (3000, 12))
+        want = _stream(7, 0).choice(len(pmf), (3000, 12),
+                                    p=p_u).astype(np.uint8)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    def test_u_codebook_is_the_choice_draw(self):
+        tc = TestChannel([[0.8, 0.2], [0.3, 0.7]])
+        code = ReconCode.generate(J_BSC, tc, n=8, epsilon=0.15, seed=5)
+        p_u = J_BSC.marginal((0,)) @ tc.rows
+        want = _stream(5, 0).choice(2, code.u_codebook.shape,
+                                    p=p_u).astype(np.uint8)
+        assert np.array_equal(code.u_codebook, want)
 
     def test_v_codebook_lazy_and_stable(self):
         v = np.zeros((2, 2, 2))

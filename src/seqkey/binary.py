@@ -17,6 +17,7 @@ non-uniform prior routes through the generic test-channel optimizer instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -408,6 +409,7 @@ def counterexample_solve(src, r1, grid=512):
     if not isinstance(grid, (int, np.integer)) or grid < 2:
         raise ParameterError(f"grid needs at least 2 points, got {grid!r}")
 
+    @functools.cache  # both objectives re-check the same grid points
     def on_curve(a1):
         a2 = _trace_alpha2(src, a1, r1)
         if a2 is None:

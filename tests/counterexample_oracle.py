@@ -3,9 +3,9 @@
 This is how ``counterexample_solve`` scanned its grid before the scan ran
 as one array bisection: one scalar ``_trace_alpha2`` bisection per grid
 point on the ``math.log`` entropy, keeping a candidate only on strict
-improvement from the low end. The refinement and the report are the
-library's, unchanged, so a test can ask the library for the same report,
-bit for bit.
+improvement from the low end. The refinement and the report are copied
+from that version as they were, so a test can ask the library for the
+same report, bit for bit.
 """
 
 import math

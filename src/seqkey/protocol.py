@@ -12,7 +12,16 @@ lowest-index tie-breaks and the (1,1) fallback included. Robust typicality
 depends only on the joint type of (x^n, u^n), so the encoder tests each
 distinct U word once, at most min(W, |U|^n) of them for a W-row codebook,
 and answers with the lowest row holding a typical word: the same index a
-scan of every row would give. Two consequences at n <= 14 are worth
+scan of every row would give.
+
+Every stage takes a batch of blocks, (..., n) arrays whose leading axes
+are batch axes; one block is a batch of one. A stage scores each block's
+candidate words over the last axis, CHUNK_ELEMENTS candidate symbols at a
+time, so its intermediates stay small for any number of blocks, and ML
+scores are summed over that contiguous axis as for a single block. With
+a V layer, each call draws the codebook of each distinct (omega, nu) bin
+once, for every block in that bin, and holds those codebooks (one byte
+per symbol) until it returns. Two consequences at n <= 14 are worth
 knowing before reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
@@ -46,6 +55,7 @@ from seqkey.optimizer import TestChannel, rate_constraint
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
 MAX_U_CODEWORDS = 1 << 22  # U codebook memory budget (rows)
 MAX_V_CODEWORDS = 1 << 16  # per-bin V codebook budget
+CHUNK_ELEMENTS = 1 << 16   # candidate symbols one pick holds at once
 SHUFFLE_ROUNDS = 32
 _COUNT_FUZZ = 1e-9         # absorbs float error at integer window edges
 
@@ -128,15 +138,17 @@ def _size(rate_bits, n):
     return max(1, math.ceil(2.0 ** (n * max(rate_bits, 0.0))))
 
 
-def _typical_mask(codes, pmf_flat, eps, n):
-    """Row mask of robust typicality: |N(c)/n - p(c)| <= eps p(c) per cell.
+def _typical_mask(codes, pmf_flat, eps):
+    """Mask of robust typicality over the last axis of codes:
+    |N(c)/n - p(c)| <= eps p(c) per cell.
 
-    codes is (W, n) of flattened cell indices; zero-mass cells must not
+    codes is (..., n) of flattened cell indices; zero-mass cells must not
     occur at all.
     """
-    ok = np.ones(codes.shape[0], dtype=bool)
+    n = codes.shape[-1]
+    ok = np.ones(codes.shape[:-1], dtype=bool)
     for c, p in enumerate(pmf_flat):
-        cnt = (codes == c).sum(axis=1)
+        cnt = (codes == c).sum(axis=-1)
         if p <= 0.0:
             ok &= cnt == 0
         else:
@@ -145,18 +157,34 @@ def _typical_mask(codes, pmf_flat, eps, n):
     return ok
 
 
-def _pick(codes, pmf, ll, eps, n, decoder):
-    """(row, found) among the candidate rows of codes, which index the
-    flat (ctx..., sym) cells of both pmf and ll.
+def _pick(base, table, start, width, pmf, ll, eps, decoder):
+    """(row, found) per block among its candidate words
+    table[start:start + width].
 
+    base is the (..., n) batch of context cells, already scaled by the
+    symbol alphabet, so base + word gives the flat (ctx..., sym) cells that
+    index both pmf and ll; start broadcasts against the leading axes.
     Typicality: the lowest row typical for pmf, or (0, False) when none
-    is. ML: the row with the largest log-likelihood sum under ll.
+    is. ML: the lowest row with the largest log-likelihood sum under ll.
+    Blocks are taken CHUNK_ELEMENTS candidate symbols at a time.
     """
-    if decoder == "ml":
-        return int(np.argmax(ll.ravel()[codes].sum(axis=1))), True
-    mask = _typical_mask(codes, pmf, eps, n)
-    found = bool(mask.any())
-    return (int(np.argmax(mask)) if found else 0), found
+    lead, n = base.shape[:-1], base.shape[-1]
+    base = base.reshape(-1, 1, n)
+    start = np.broadcast_to(start, lead).reshape(-1, 1)
+    offsets = np.arange(width)
+    row = np.zeros(len(base), dtype=np.intp)
+    found = np.ones(len(base), dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // (width * n))
+    for lo in range(0, len(base), step):
+        blocks = slice(lo, lo + step)
+        codes = base[blocks] + table[start[blocks] + offsets]
+        if decoder == "ml":
+            row[blocks] = np.argmax(ll.ravel()[codes].sum(axis=-1), axis=-1)
+        else:
+            mask = _typical_mask(codes, pmf, eps)
+            found[blocks] = mask.any(axis=-1)
+            row[blocks] = np.argmax(mask, axis=-1)
+    return row.reshape(lead), found.reshape(lead)
 
 
 def _distinct_rows(codebook, base):
@@ -200,7 +228,8 @@ class ReconCode:
     encoder tests at most min(W, |U|^n) words instead of all W rows.
     V codebooks are per-(omega, nu) and are regenerated on demand from
     their own stream key, which keeps them fixed across trials without
-    materializing all of them.
+    materializing all of them; a reconcile call draws each bin it needs
+    once.
     """
 
     n: int
@@ -330,84 +359,120 @@ class ReconCode:
 
 @dataclass(frozen=True)
 class ReconcileResult:
-    s_u: np.ndarray      # Alice's U-layer sequence (the key material)
-    s_v: np.ndarray      # Alice's recovered V layer
-    shat_u: np.ndarray   # Bob's U-layer estimate
-    shat_v: np.ndarray   # Bob's own V layer
-    a_msg: int           # bin index omega, 1-based
-    b_msg: int           # V bin index k, 1-based
-    alice_found: bool
-    bob_found: bool
+    """Outcome of every block of a reconcile call. Each field carries the
+    batch's leading axes; the four sequences add the last axis n."""
+
+    s_u: np.ndarray          # Alice's U-layer sequence (the key material)
+    s_v: np.ndarray          # Alice's recovered V layer
+    shat_u: np.ndarray       # Bob's U-layer estimate
+    shat_v: np.ndarray       # Bob's own V layer
+    a_msg: np.ndarray        # bin index omega, 1-based
+    b_msg: np.ndarray        # V bin index k, 1-based
+    alice_found: np.ndarray
+    bob_found: np.ndarray
 
     @property
     def agree(self):
-        return (np.array_equal(self.s_u, self.shat_u)
-                and np.array_equal(self.s_v, self.shat_v))
+        """One bool per block: Bob's U and V layers equal Alice's."""
+        return np.all((self.s_u == self.shat_u) & (self.s_v == self.shat_v),
+                      axis=-1)
 
 
 def _encode_alice(x, code):
-    """(omega, nu, found) of the lowest codebook row whose word is jointly
-    typical with x, or (0, 0, False) when no word is."""
-    nu = code.nu_size
-    codes = x.astype(np.int16)[None, :] * nu + code.u_words
-    mask = _typical_mask(codes, code.pmf_xu, code.rates.eps, code.n)
-    if mask.any():
-        flat = int(code.u_first_rows[np.argmax(mask)])
-        return flat // code.w_nu, flat % code.w_nu, True
-    return 0, 0, False
+    """(omega, nu, found) per block: the lowest codebook row whose word is
+    jointly typical with x, or (0, 0, False) when no word is."""
+    word, found = _pick(x.astype(np.int16) * code.nu_size, code.u_words, 0,
+                        len(code.u_words), code.pmf_xu, None, code.rates.eps,
+                        "typicality")
+    flat = np.where(found, code.u_first_rows[word], 0)
+    return flat // code.w_nu, flat % code.w_nu, found
+
+
+def _decode_u(y, omega_idx, code, decoder):
+    """Bob's (nu, found) per block, within its public bin omega."""
+    return _pick(y.astype(np.int16) * code.nu_size, code.u_codebook,
+                 omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
+                 code.ll_y_given_u, code.rates.eps, decoder)
+
+
+def _v_books(code, omega_idx, nu_idx):
+    """(books, first): the V codebooks of the distinct (omega, nu) bins
+    among the blocks, each drawn once and stacked into one table, and the
+    table row at which each block's codebook starts."""
+    first = np.zeros(np.shape(omega_idx), dtype=np.intp)
+    if code.nv_size == 1:  # every bin has the same all-zero codebook
+        return code.v_codebook(0, 0), first
+    bins, which = np.unique(omega_idx * code.w_nu + nu_idx,
+                            return_inverse=True)
+    books = np.concatenate([code.v_codebook(*divmod(int(b), code.w_nu))
+                            for b in bins])
+    first[...] = which.reshape(first.shape) * (code.w_k * code.w_l)
+    return books, first
+
+
+def _cover_v(y, shat_u, books, first, code, decoder):
+    """Bob's (k, v) per block: the V codeword of his bin's codebook (table
+    rows from `first`) that covers (u, y)."""
+    ny, nv = code.v_given_yu.shape[0], code.nv_size
+    flat, _ = _pick((shat_u.astype(np.int32) * ny + y) * nv, books, first,
+                    code.w_k * code.w_l, code.pmf_uyv, code.ll_v_given_uy,
+                    code.rates.eps2, decoder)
+    return flat // code.w_l, books[first + flat]
 
 
 def _decode_bob(y, omega_idx, code, decoder):
-    """Bob's side given the public bin index: pick nu within the bin, then
-    cover (u, y) with a V codeword. Also the eavesdropper's procedure when
-    run on z."""
-    lo = omega_idx * code.w_nu
-    cand = code.u_codebook[lo:lo + code.w_nu]
-    codes = y.astype(np.int16)[None, :] * code.nu_size + cand
-    nu_idx, found = _pick(codes, code.pmf_yu, code.ll_y_given_u,
-                          code.rates.eps, code.n, decoder)
-    shat_u = cand[nu_idx]
-
-    vcands = code.v_codebook(omega_idx, nu_idx)
-    ny, nv = code.v_given_yu.shape[0], code.nv_size
-    codes = (shat_u.astype(np.int32)[None, :] * ny
-             + y.astype(np.int32)[None, :]) * nv + vcands
-    flat, _ = _pick(codes, code.pmf_uyv, code.ll_v_given_uy,
-                    code.rates.eps2, code.n, decoder)
-    return shat_u, nu_idx, flat // code.w_l, vcands[flat], found
+    """Bob's side given the public bin indices: pick nu within each bin,
+    then cover (u, y) with a V codeword. Also the eavesdropper's procedure
+    when run on z. Returns (shat_u, nu, k, shat_v, found) per block."""
+    nu_idx, found = _decode_u(y, omega_idx, code, decoder)
+    shat_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
+    books, first = _v_books(code, omega_idx, nu_idx)
+    k_idx, shat_v = _cover_v(y, shat_u, books, first, code, decoder)
+    return shat_u, nu_idx, k_idx, shat_v, found
 
 
-def _recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder):
-    lo = k_idx * code.w_l
-    acands = code.v_codebook(omega_idx, nu_idx)[lo:lo + code.w_l]
-    codes = (x.astype(np.int32)[None, :] * code.nu_size
-             + s_u.astype(np.int32)[None, :]) * code.nv_size + acands
-    l_idx, _ = _pick(codes, code.pmf_xuv, code.ll_v_given_xu,
-                     code.rates.eps2, code.n, decoder)
-    return acands[l_idx]
+def _recover_alice(x, s_u, books, first, k_idx, code, decoder):
+    """Alice's V estimate per block, picked among the w_l codewords of
+    Bob's k group in her bin's codebook (table rows from `first`)."""
+    start = first + k_idx * code.w_l
+    l_idx, _ = _pick((x.astype(np.int32) * code.nu_size + s_u)
+                     * code.nv_size, books, start, code.w_l, code.pmf_xuv,
+                     code.ll_v_given_xu, code.rates.eps2, decoder)
+    return books[start + l_idx]
 
 
 def reconcile(x, y, code, decoder="typicality"):
-    """One block of the two-message protocol; see the module docstring.
+    """The two-message protocol on a batch of blocks; see the module
+    docstring.
 
-    Alice encodes x into the lowest typical (omega, nu) pair, falling back
-    to (1, 1), and publishes omega. Bob picks the lowest admissible nu in
-    the bin, covers (u, y) with a V codeword, and publishes its k index.
-    Alice then recovers her own V estimate inside (her nu, his k).
+    x and y are (..., n) arrays of equal shape; the leading axes are batch
+    axes and every field of the result carries them (one length-n block
+    gives 0-d fields). Per block, Alice encodes x into the lowest typical
+    (omega, nu) pair, falling back to (1, 1), and publishes omega. Bob
+    picks the lowest admissible nu in the bin, covers (u, y) with a V
+    codeword, and publishes its k index. Alice then recovers her own V
+    estimate inside (her nu, his k). Each distinct bin's V codebook is
+    drawn once per call, for Bob and Alice together.
     """
     if decoder not in ("typicality", "ml"):
         raise ParameterError(
             f"decoder must be 'typicality' or 'ml', got {decoder!r}")
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.shape != (code.n,) or y.shape != (code.n,):
+    if x.ndim < 1 or x.shape != y.shape or x.shape[-1] != code.n:
         raise ParameterError(
-            f"x and y must be length-{code.n} sequences")
+            f"x and y must be equal-shaped (..., {code.n}) arrays")
+    if x.size == 0:
+        raise ParameterError("x and y hold no block")
     omega_idx, nu_idx, alice_found = _encode_alice(x, code)
     s_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
-    shat_u, _, k_idx, shat_v, bob_found = _decode_bob(
-        y, omega_idx, code, decoder)
-    s_v = _recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder)
+    bob_nu, bob_found = _decode_u(y, omega_idx, code, decoder)
+    shat_u = code.u_codebook[omega_idx * code.w_nu + bob_nu]
+    # one table for both parties' bins; Alice recovers inside hers
+    books, first = _v_books(code, np.stack([omega_idx, omega_idx]),
+                            np.stack([nu_idx, bob_nu]))
+    k_idx, shat_v = _cover_v(y, shat_u, books, first[1], code, decoder)
+    s_v = _recover_alice(x, s_u, books, first[0], k_idx, code, decoder)
     return ReconcileResult(
         s_u=s_u, s_v=s_v, shat_u=shat_u, shat_v=shat_v,
         a_msg=omega_idx + 1, b_msg=k_idx + 1,
@@ -590,25 +655,21 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
             f"key length {params.k} exceeds the {n_bits}-bit hash input")
 
     trials, m, n = params.trials, params.m, params.n
-    # symbols by trial, party (Alice, Bob, Eve), block, layer (U, V)
-    syms = np.empty((trials, 3, m, 2, n), dtype=np.uint8)
+    # source symbols by party (X, Y, Z), trial, block
+    xyz = np.empty((3, trials, m, n), dtype=np.uint8)
     hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
-    z_types = []
-    encode_hits = 0
-    decode_hits = 0
     for t in range(trials):
-        xs, ys, zs = (a.reshape(m, n) for a in sample_source(
-            j, n * m, _stream(params.seed, 1, t)))
-        for blk in range(m):
-            res = reconcile(xs[blk], ys[blk], code, params.decoder)
-            e_u, _, _, e_v, _ = _decode_bob(
-                zs[blk], res.a_msg - 1, code, params.decoder)
-            syms[t, :, blk] = ((res.s_u, res.s_v), (res.shat_u, res.shat_v),
-                               (e_u, e_v))
-            encode_hits += res.alice_found
-            decode_hits += res.bob_found
+        xyz[:, t] = np.reshape(sample_source(
+            j, n * m, _stream(params.seed, 1, t)), (3, m, n))
         hash_seeds[t] = _stream(params.seed, 3, t).integers(0, 2, n_bits)
-        z_types.append(tuple(int((zs == c).sum()) for c in range(nz)))
+    x, y, z = xyz
+    res = reconcile(x, y, code, params.decoder)
+    e_u, _, _, e_v, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
+    # symbols by trial, party (Alice, Bob, Eve), block, layer (U, V)
+    syms = np.stack([np.stack(layers, axis=2) for layers in (
+        (res.s_u, res.s_v), (res.shat_u, res.shat_v), (e_u, e_v))], axis=1)
+    z_types = [tuple(row) for row in np.stack(
+        [(z == c).sum(axis=(1, 2)) for c in range(nz)], axis=1).tolist()]
 
     def layer_bits(layer, width):
         return _unpack_bits(syms[:, :, :, layer], width).reshape(
@@ -638,7 +699,7 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
         uniformity_est=params.k - h_key,
         trials=trials,
         n_bits=n_bits,
-        alice_encode_rate=encode_hits / blocks,
-        bob_decode_rate=decode_hits / blocks,
+        alice_encode_rate=int(res.alice_found.sum()) / blocks,
+        bob_decode_rate=int(res.bob_found.sum()) / blocks,
         eve_match_rate=eve_hits / trials,
     )

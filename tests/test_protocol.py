@@ -11,10 +11,14 @@ nu = 2 half the time while the decoder's fallback always points at 1).
 
 import hashlib
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import reconcile_oracle as oracle
+from seqkey import protocol
 from seqkey.binary import BscCascadeSource
 from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.measures import DiscreteJoint, joint_from_cascade
@@ -23,7 +27,10 @@ from seqkey.protocol import (
     ProtocolParams,
     Rates,
     ReconCode,
+    ReconcileResult,
     RunMetrics,
+    _decode_bob,
+    _decode_u,
     _distinct_rows,
     _draw_symbols,
     _encode_alice,
@@ -324,6 +331,142 @@ class TestReconcile:
         with pytest.raises(ParameterError):
             reconcile(np.zeros(7, dtype=np.uint8),
                       np.zeros(8, dtype=np.uint8), code)
+
+
+def _v_channel(nv):
+    """p(v | y, u): V copies Y for nv = 2, a noisy three-level view for 3."""
+    v = np.zeros((2, 2, nv))
+    if nv == 2:
+        v[0, :, 0] = v[1, :, 1] = 1.0
+    else:
+        v[0, :, :] = [0.6, 0.3, 0.1]
+        v[1, :, :] = [0.1, 0.3, 0.6]
+    return v
+
+
+# codes for the batch-against-oracle tests; the V layers get several k
+# groups of several codewords each, so Alice's window is not one row
+BATCH_CODES = {
+    "no_v": dict(n=8),
+    "nv2": dict(n=8, v_given_yu=_v_channel(2), rates=Rates(
+        r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25, eps=0.15)),
+    "nv3": dict(n=6, v_given_yu=_v_channel(3), rates=Rates(
+        r_u=1.2, r_u_prime=0.3, r_v=0.6, r_v_prime=0.4, eps=0.3)),
+}
+
+
+def _batch_code(name):
+    return ReconCode.generate(J_BSC, TC_ID, epsilon=0.15, seed=3,
+                              **BATCH_CODES[name])
+
+
+def _blocks(n, count, seed):
+    """(x, y, z), each (count, n); every fifth x is 0^n, with which no
+    word is typical under the identity test channel."""
+    x, y, z = (a.reshape(count, n) for a in sample_source(
+        J_BSC, n * count, _stream(seed)))
+    x[::5] = 0
+    return x, y, z
+
+
+class TestBatchedReconcile:
+    """The batched stages against the block-by-block oracle."""
+
+    # at 1,200 blocks the default budget cuts the encoder's batch too;
+    # at 100 elements every stage's chunk edges fall inside 7 blocks
+    @pytest.mark.parametrize("blocks, chunk", [(1, None), (7, 100),
+                                               (1200, None)])
+    @pytest.mark.parametrize("decoder", ["typicality", "ml"])
+    @pytest.mark.parametrize("name", sorted(BATCH_CODES))
+    def test_matches_oracle_block_for_block(self, name, decoder, blocks,
+                                            chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", chunk)
+        code = _batch_code(name)
+        x, y, z = _blocks(code.n, blocks, seed=blocks)
+        res = reconcile(x, y, code, decoder)
+        eve = _decode_bob(z, res.a_msg - 1, code, decoder)
+        assert res.agree.shape == (blocks,) and res.agree.dtype == bool
+        for b in range(blocks):
+            want = oracle.reconcile(x[b], y[b], code, decoder)
+            for f in fields(ReconcileResult):
+                assert np.array_equal(getattr(res, f.name)[b],
+                                      getattr(want, f.name)), (b, f.name)
+            assert res.agree[b] == want.agree
+            want_eve = oracle.decode_bob(z[b], int(res.a_msg[b]) - 1, code,
+                                         decoder)
+            for got, ref in zip(eve, want_eve):
+                assert np.array_equal(got[b], ref), b
+        misses = ~res.alice_found
+        assert misses[::5].all() and (blocks < 1200 or not misses.all())
+        assert (res.a_msg[misses] == 1).all()
+        assert (res.s_u[misses] == code.u_codebook[0]).all()
+
+    def test_single_block_gives_0d_fields(self):
+        code = _batch_code("nv2")
+        x, y, _ = _blocks(code.n, 2, seed=4)
+        res = reconcile(x[1], y[1], code, "ml")
+        want = oracle.reconcile(x[1], y[1], code, "ml")
+        for f in fields(ReconcileResult):
+            got = getattr(res, f.name)
+            assert np.shape(got) == np.shape(getattr(want, f.name))
+            assert np.array_equal(got, getattr(want, f.name))
+        assert np.ndim(res.agree) == 0 and res.agree == want.agree
+
+    def test_leading_axes_carry_through(self):
+        code = _batch_code("nv3")
+        x, y, _ = _blocks(code.n, 12, seed=8)
+        flat = reconcile(x, y, code, "ml")
+        grid = reconcile(x.reshape(3, 4, -1), y.reshape(3, 4, -1), code,
+                         "ml")
+        for f in fields(ReconcileResult):
+            got, want = getattr(grid, f.name), getattr(flat, f.name)
+            assert got.shape == (3, 4) + want.shape[1:]
+            assert np.array_equal(got.reshape(want.shape), want)
+        assert grid.agree.shape == (3, 4)
+
+    def test_v_codebook_drawn_once_per_bin(self, monkeypatch):
+        code = _batch_code("nv2")
+        x, y, _ = _blocks(code.n, 300, seed=9)
+        omega, alice_nu, _ = _encode_alice(x, code)
+        bob_nu, _ = _decode_u(y, omega, code, "ml")
+        drawn = []
+        draw = ReconCode.v_codebook
+
+        def counted(self, omega_idx, nu_idx):
+            drawn.append((omega_idx, nu_idx))
+            return draw(self, omega_idx, nu_idx)
+
+        monkeypatch.setattr(ReconCode, "v_codebook", counted)
+        reconcile(x, y, code, "ml")
+        bins = set(zip(omega.tolist(), alice_nu.tolist())) | set(
+            zip(omega.tolist(), bob_nu.tolist()))
+        assert sorted(drawn) == sorted(bins)
+        assert len(bins) < 2 * 300  # shared bins were drawn once
+
+    def test_peak_memory_follows_chunk_budget(self):
+        # the sim_short_blocks code (n = 8, ml): its 1,200 blocks unchunked
+        # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS candidate
+        # symbols, and its largest intermediate, the float64 scores, takes
+        # 8 bytes per symbol
+        code = bsc_code(8)
+        x, y, _ = _blocks(8, 1200, seed=5)
+        reconcile(x[:1], y[:1], code, "ml")
+        tracemalloc.start()
+        try:
+            reconcile(x, y, code, "ml")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * protocol.CHUNK_ELEMENTS
+
+    def test_batch_shapes_validated(self):
+        code = bsc_code(8)
+        x = np.zeros((3, 8), dtype=np.uint8)
+        for bad_x, bad_y in ((x, x[:2]), (x[:, :7], x[:, :7]),
+                             (x[:0], x[:0]), (np.uint8(0), np.uint8(0))):
+            with pytest.raises(ParameterError):
+                reconcile(bad_x, bad_y, code)
 
 
 class TestPrivacyAmplify:

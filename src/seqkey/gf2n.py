@@ -85,15 +85,3 @@ def gf_mul(a, b, n):
         a = ((a << one) & mask) ^ (a >> top) * low
     return r[()]
 
-
-def gf_pow(a, e, n):
-    """a raised to the integer power e >= 0 in GF(2^n)."""
-    if e < 0:
-        raise ParameterError(f"exponent must be >= 0, got {e!r}")
-    r, base = np.uint64(1), _elements(a, n, "a")
-    while e:
-        if e & 1:
-            r = gf_mul(r, base, n)
-        base = gf_mul(base, base, n)
-        e >>= 1
-    return r

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from seqkey.errors import ParameterError
-from seqkey.gf2n import POLY_TAPS, gf_mul, gf_pow, modulus
+from seqkey.gf2n import POLY_TAPS, gf_mul, modulus
 
 
 def _clmul(a, b):
@@ -34,6 +34,17 @@ def _pgcd(a, b):
     while b:
         a, b = b, _pmod(a, b)
     return a
+
+
+def _pow(a, e, n):
+    """a^e in GF(2^n) by square-and-multiply over gf_mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = int(gf_mul(r, a, n))
+        a = int(gf_mul(a, a, n))
+        e >>= 1
+    return r
 
 
 def _primes(n):
@@ -108,7 +119,7 @@ class TestScalarMul:
         for n in (8, 12, 16, 24):
             for _ in range(5):
                 a = int(rng.integers(1, 1 << n))
-                assert gf_pow(a, (1 << n) - 1, n) == 1
+                assert _pow(a, (1 << n) - 1, n) == 1
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -128,8 +139,6 @@ class TestScalarMul:
             gf_mul(1 << 64, 1, 64)
         with pytest.raises(ParameterError):
             gf_mul(1, [3, 1 << 64], 64)
-        with pytest.raises(ParameterError):
-            gf_pow(2, -1, 8)
         assert int(gf_mul((1 << 64) - 1, 1, 64)) == (1 << 64) - 1
 
     def test_pow_matches_repeated_multiplication(self):
@@ -137,7 +146,7 @@ class TestScalarMul:
             a = (1 << n) - 7
             want = 1
             for e in range(6):
-                assert int(gf_pow(a, e, n)) == want
+                assert _pow(a, e, n) == want
                 want = _pmod(_clmul(want, a), modulus(n))
 
 

@@ -426,7 +426,7 @@ def counterexample_solve(src, r1, grid=512):
         return f - g if key == "wsk" else f
 
     alphas = np.linspace(0.0, src.p, grid, endpoint=False)
-    step = alphas[1] - alphas[0]
+    step = float(alphas[1] - alphas[0])  # keeps alpha1 a Python float
 
     def center(scanned, key):
         # the scan's floats can differ from the scalar ones in the last

@@ -193,6 +193,9 @@ def test_counterexample_solve_reference_parameters():
     assert rep.key_rate_at_rec < 0.045
     assert rep.relative_loss > 0.10
     assert rep.constraint_residual <= 1e-9
+    # plain floats, so the pairs print like any other number
+    for pair in (rep.wsk_pair, rep.rec_pair):
+        assert type(pair.alpha1) is float and type(pair.alpha2) is float
 
 
 def test_counterexample_solve_symmetric_source_has_no_gap():

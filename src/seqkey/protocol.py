@@ -12,13 +12,18 @@ lowest-index tie-breaks and the (1,1) fallback included. Robust typicality
 depends only on the joint type of (x^n, u^n), so the encoder tests each
 distinct U word once, at most min(W, |U|^n) of them for a W-row codebook,
 and answers with the lowest row holding a typical word: the same index a
-scan of every row would give.
+scan of every row would give. It gets the joint counts of a chunk of blocks
+with all those words from one matrix product of one-hot tables. Every
+typicality test compares integer counts with integer windows computed once
+from the float thresholds (_count_windows), which decides exactly as the
+float comparison would.
 
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
 are batch axes; one block is a batch of one. A stage scores each block's
-candidate words over the last axis, CHUNK_ELEMENTS candidate symbols at a
-time, so its intermediates stay small for any number of blocks, and ML
-scores are summed over that contiguous axis as for a single block. With
+candidate words over the last axis, CHUNK_ELEMENTS candidate symbols (the
+encoder: joint counts) at a time, so its intermediates stay small for any
+number of blocks, and ML scores are summed over that contiguous axis as
+for a single block. With
 a V layer, each call draws the codebook of each distinct (omega, nu) bin
 once, for every block in that bin, and holds those codebooks (one byte
 per symbol) until it returns. Two consequences at n <= 14 are worth
@@ -138,22 +143,27 @@ def _size(rate_bits, n):
     return max(1, math.ceil(2.0 ** (n * max(rate_bits, 0.0))))
 
 
-def _typical_mask(codes, pmf_flat, eps):
-    """Mask of robust typicality over the last axis of codes:
-    |N(c)/n - p(c)| <= eps p(c) per cell.
+def _count_windows(pmf_flat, eps, n):
+    """Integer count windows (lo, hi) of robust typicality per cell:
+    |N(c)/n - p(c)| <= eps p(c) holds for an integer count N(c) exactly when
+    lo[c] <= N(c) <= hi[c]. Both bounds come from the float64 thresholds,
+    widened by _COUNT_FUZZ, which also gives a zero-mass cell lo = hi = 0."""
+    return (np.ceil(n * pmf_flat * (1.0 - eps) - _COUNT_FUZZ),
+            np.floor(n * pmf_flat * (1.0 + eps) + _COUNT_FUZZ))
 
-    codes is (..., n) of flattened cell indices; zero-mass cells must not
-    occur at all.
-    """
-    n = codes.shape[-1]
+
+def _typical_mask(codes, pmf_flat, eps):
+    """Mask of robust typicality over the last axis of codes, which is
+    (..., n) of flattened cell indices: each cell's count must lie in its
+    integer window (_count_windows). Counts are taken one cell at a time;
+    this serves _pick, whose candidates differ per block. Alice's encoder
+    tests the same windows on counts from one matrix product
+    (_encode_alice)."""
+    lo, hi = _count_windows(pmf_flat, eps, codes.shape[-1])
     ok = np.ones(codes.shape[:-1], dtype=bool)
-    for c, p in enumerate(pmf_flat):
+    for c in range(len(lo)):
         cnt = (codes == c).sum(axis=-1)
-        if p <= 0.0:
-            ok &= cnt == 0
-        else:
-            ok &= (cnt >= n * p * (1.0 - eps) - _COUNT_FUZZ) \
-                & (cnt <= n * p * (1.0 + eps) + _COUNT_FUZZ)
+        ok &= (cnt >= lo[c]) & (cnt <= hi[c])
     return ok
 
 
@@ -164,9 +174,10 @@ def _pick(base, table, start, width, pmf, ll, eps, decoder):
     base is the (..., n) batch of context cells, already scaled by the
     symbol alphabet, so base + word gives the flat (ctx..., sym) cells that
     index both pmf and ll; start broadcasts against the leading axes.
-    Typicality: the lowest row typical for pmf, or (0, False) when none
-    is. ML: the lowest row with the largest log-likelihood sum under ll.
-    Blocks are taken CHUNK_ELEMENTS candidate symbols at a time.
+    Typicality: the lowest row typical for pmf (_typical_mask), or
+    (0, False) when none is. ML: the lowest row with the largest
+    log-likelihood sum under ll. Blocks are taken CHUNK_ELEMENTS candidate
+    symbols at a time.
     """
     lead, n = base.shape[:-1], base.shape[-1]
     base = base.reshape(-1, 1, n)
@@ -244,6 +255,8 @@ class ReconCode:
     u_codebook: np.ndarray          # (w_u * w_nu, n) symbols of U
     u_words: np.ndarray             # (D, n) distinct rows of u_codebook
     u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
+    u_onehot: np.ndarray            # (n, |U| D) float32, column u D + d
+                                    # is 1 where word d holds symbol u
     pmf_xu: np.ndarray              # flat typicality references
     pmf_yu: np.ndarray
     pmf_uyv: np.ndarray
@@ -327,12 +340,14 @@ class ReconCode:
 
         u_codebook = _draw_symbols(_stream(seed, 0), p_u, (w_u * w_nu, n))
         u_words, u_first_rows = _distinct_rows(u_codebook, nu)
+        u_onehot = (u_words.T[:, None, :] == np.arange(nu)[:, None]).reshape(
+            n, -1).astype(np.float32)
 
         return cls(
             n=n, seed=int(seed), rates=rates, w_u=w_u, w_nu=w_nu, w_k=w_k,
             w_l=w_l, tc_rows=tc_u.rows, v_given_yu=v_given_yu,
             u_codebook=u_codebook, u_words=u_words,
-            u_first_rows=u_first_rows,
+            u_first_rows=u_first_rows, u_onehot=u_onehot,
             pmf_xu=p_xu.ravel(), pmf_yu=p_yu.ravel(),
             pmf_uyv=p_uyv.ravel(), pmf_xuv=p_xuv.ravel(),
             ll_y_given_u=_log_table(cond_y_u),
@@ -380,12 +395,41 @@ class ReconcileResult:
 
 def _encode_alice(x, code):
     """(omega, nu, found) per block: the lowest codebook row whose word is
-    jointly typical with x, or (0, 0, False) when no word is."""
-    word, found = _pick(x.astype(np.int16) * code.nu_size, code.u_words, 0,
-                        len(code.u_words), code.pmf_xu, None, code.rates.eps,
-                        "typicality")
-    flat = np.where(found, code.u_first_rows[word], 0)
-    return flat // code.w_nu, flat % code.w_nu, found
+    jointly typical with x, or (0, 0, False) when no word is.
+
+    The joint counts N(a, u) of a chunk of blocks with every distinct word
+    come from one float32 product: the (blocks |X|, n) one-hot of x times
+    the code's (n, |U| D) one-hot of its words. The counts are small
+    integers, so float32 holds them exactly and the integer windows of
+    _count_windows decide typicality as the float thresholds would. A
+    chunk holds at most CHUNK_ELEMENTS counts, in one buffer reused by
+    every chunk.
+    """
+    lead, n = x.shape[:-1], x.shape[-1]
+    x = x.reshape(-1, n)
+    cells, words = code.pmf_xu.size, len(code.u_words)
+    # exact in float32: the windows are integers
+    lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in
+              _count_windows(code.pmf_xu, code.rates.eps, n))
+    symbols = np.arange(cells // code.nu_size)[:, None]
+    word = np.zeros(len(x), dtype=np.intp)
+    found = np.zeros(len(x), dtype=bool)
+    step = max(1, min(len(x), CHUNK_ELEMENTS // (cells * words)))
+    buf = np.empty((step * len(symbols), code.u_onehot.shape[1]),
+                   dtype=np.float32)
+    for start in range(0, len(x), step):
+        blocks = slice(start, start + step)
+        onehot = (x[blocks, None, :] == symbols).astype(np.float32).reshape(
+            -1, n)
+        counts = np.matmul(onehot, code.u_onehot,
+                           out=buf[:len(onehot)]).reshape(-1, cells, words)
+        ok = counts >= lo
+        ok &= counts <= hi
+        ok = np.logical_and.reduce(ok, axis=1)
+        found[blocks] = ok.any(axis=-1)
+        word[blocks] = np.argmax(ok, axis=-1)
+    flat = np.where(found, code.u_first_rows[word], 0).reshape(lead)
+    return flat // code.w_nu, flat % code.w_nu, found.reshape(lead)
 
 
 def _decode_u(y, omega_idx, code, decoder):
@@ -445,10 +489,11 @@ def reconcile(x, y, code, decoder="typicality"):
     """The two-message protocol on a batch of blocks; see the module
     docstring.
 
-    x and y are (..., n) arrays of equal shape; the leading axes are batch
-    axes and every field of the result carries them (one length-n block
-    gives 0-d fields). Per block, Alice encodes x into the lowest typical
-    (omega, nu) pair, falling back to (1, 1), and publishes omega. Bob
+    x and y are (..., n) integer arrays of equal shape that hold symbols of
+    X and Y; the leading axes are batch axes and every field of the result
+    carries them (one length-n block gives 0-d fields). Per block, Alice
+    encodes x into the lowest typical (omega, nu) pair, falling back to
+    (1, 1), and publishes omega. Bob
     picks the lowest admissible nu in the bin, covers (u, y) with a V
     codeword, and publishes its k index. Alice then recovers her own V
     estimate inside (her nu, his k). Each distinct bin's V codebook is
@@ -464,6 +509,12 @@ def reconcile(x, y, code, decoder="typicality"):
             f"x and y must be equal-shaped (..., {code.n}) arrays")
     if x.size == 0:
         raise ParameterError("x and y hold no block")
+    for name, seq, size in (("x", x, code.tc_rows.shape[0]),
+                            ("y", y, code.v_given_yu.shape[0])):
+        if not np.issubdtype(seq.dtype, np.integer) or seq.min() < 0 \
+                or seq.max() >= size:
+            raise ParameterError(
+                f"{name} must hold integer symbols in [0, {size})")
     omega_idx, nu_idx, alice_found = _encode_alice(x, code)
     s_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
     bob_nu, bob_found = _decode_u(y, omega_idx, code, decoder)

@@ -4,7 +4,9 @@ This is how ``seqkey.protocol`` reconciled before every stage took leading
 batch axes: one block per call, the V codebook of a bin drawn again for
 each block that used it (for Bob's cover and again for Alice's recovery).
 The functions are copied from that version as they were, so a test can ask
-the batched library for the same indices and words, block for block.
+the batched library for the same indices and words, block for block; the
+per-cell float comparison of typicality sits in its own function, so a
+test can compare it with the integer count windows.
 """
 
 import numpy as np
@@ -13,16 +15,20 @@ from seqkey.errors import ParameterError
 from seqkey.protocol import _COUNT_FUZZ, ReconcileResult
 
 
+def in_float_window(cnt, p, eps, n):
+    """Whether count cnt of a cell of mass p passes robust typicality,
+    |cnt/n - p| <= eps p, as the float comparison of that version made it."""
+    if p <= 0.0:
+        return cnt == 0
+    return (cnt >= n * p * (1.0 - eps) - _COUNT_FUZZ) \
+        & (cnt <= n * p * (1.0 + eps) + _COUNT_FUZZ)
+
+
 def typical_mask(codes, pmf_flat, eps, n):
     """Row mask of robust typicality for one block's (W, n) codes."""
     ok = np.ones(codes.shape[0], dtype=bool)
     for c, p in enumerate(pmf_flat):
-        cnt = (codes == c).sum(axis=1)
-        if p <= 0.0:
-            ok &= cnt == 0
-        else:
-            ok &= (cnt >= n * p * (1.0 - eps) - _COUNT_FUZZ) \
-                & (cnt <= n * p * (1.0 + eps) + _COUNT_FUZZ)
+        ok &= in_float_window((codes == c).sum(axis=1), p, eps, n)
     return ok
 
 

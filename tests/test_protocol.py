@@ -24,11 +24,13 @@ from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.measures import DiscreteJoint, joint_from_cascade
 from seqkey.optimizer import TestChannel
 from seqkey.protocol import (
+    _COUNT_FUZZ,
     ProtocolParams,
     Rates,
     ReconCode,
     ReconcileResult,
     RunMetrics,
+    _count_windows,
     _decode_bob,
     _decode_u,
     _distinct_rows,
@@ -281,6 +283,74 @@ class TestEncodeAlice:
         assert _encode_alice(x, code) == (0, 0, False)
 
 
+def _edge_masses(n, eps):
+    """Cell masses that put n p (1 - eps) or n p (1 + eps) on an integer,
+    within _COUNT_FUZZ of one on either side, or one ulp off those; and 0."""
+    masses = [0.0]
+    for scale in (1.0 - eps, 1.0 + eps):
+        for k in range(1, n + 2):
+            for off in (0.0, 0.5, 1.0, 2.0):
+                for sign in (-1.0, 1.0):
+                    p = (k + sign * off * _COUNT_FUZZ) / (n * scale)
+                    masses += [p, np.nextafter(p, 0.0),
+                               np.nextafter(p, 2.0)]
+    return np.array([p for p in masses if 0.0 <= p <= 1.0])
+
+
+@pytest.mark.parametrize("eps", [0.15, 0.3, 0.5])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_count_windows_equal_float_comparison(n, eps):
+    masses = _edge_masses(n, eps)
+    lo, hi = _count_windows(masses, eps, n)
+    assert np.array_equal(lo, np.round(lo)) and np.array_equal(hi,
+                                                               np.round(hi))
+    counts = np.arange(n + 1)
+    on_edge = 0
+    for p, p_lo, p_hi in zip(masses, lo, hi):
+        want = oracle.in_float_window(counts, p, eps, n)
+        assert np.array_equal((p_lo <= counts) & (counts <= p_hi),
+                              want), p
+        on_edge += p > 0.0 and (n * p * (1.0 - eps) % 1.0 == 0.0
+                                or n * p * (1.0 + eps) % 1.0 == 0.0)
+    assert on_edge > 0  # some thresholds are exact integers
+
+
+# |X| = |U| = 3 with zero-mass (x, u) cells: cells (0,0), (0,1), (1,1) and
+# (2,2) carry 1/4 each, so at eps = 0.5 a typical x at n = 4 holds each
+# exactly once, and 0^n is never typical
+TERNARY_TC = TestChannel([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0]])
+TERNARY_J = joint_from_cascade(
+    [0.5, 0.25, 0.25], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+    [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
+TERNARY_RATES = Rates(r_u=1.2, r_u_prime=0.4, r_v=0.0, r_v_prime=0.0,
+                      eps=0.5)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_ternary_encoder_matches_full_scan(n, monkeypatch):
+    code = ReconCode.generate(TERNARY_J, TERNARY_TC, n=n, epsilon=0.5,
+                              seed=n, rates=TERNARY_RATES)
+    assert code.pmf_xu.size == 9 and (code.pmf_xu == 0.0).sum() == 5
+    # three blocks per chunk: edges fall inside the 40-block batch
+    monkeypatch.setattr(protocol, "CHUNK_ELEMENTS",
+                        3 * code.pmf_xu.size * len(code.u_words))
+    x, y, _ = (a.reshape(40, n) for a in sample_source(
+        TERNARY_J, 40 * n, _stream(n, 1)))
+    x[::5] = 0
+    omega, nu_idx, found = _encode_alice(x, code)
+    for b in range(40):
+        assert (omega[b], nu_idx[b], found[b]) == _scan_encode(x[b], code)
+    assert not found[::5].any() and found.any()
+    for decoder in ("typicality", "ml"):
+        res = reconcile(x, y, code, decoder)
+        for b in range(40):
+            want = oracle.reconcile(x[b], y[b], code, decoder)
+            for f in fields(ReconcileResult):
+                assert np.array_equal(getattr(res, f.name)[b],
+                                      getattr(want, f.name)), (b, f.name)
+
+
 class TestReconcile:
     def test_noiseless_always_agrees(self):
         # Y = X and U = X: the typicality encoder either hits the exact
@@ -325,6 +395,24 @@ class TestReconcile:
         x, y, _ = sample_source(J_BSC, 8, seed=1)
         with pytest.raises(ParameterError):
             reconcile(x, y, code, decoder="viterbi")
+
+    @pytest.mark.parametrize("decoder", ["typicality", "ml"])
+    def test_symbols_outside_alphabet_rejected(self, decoder):
+        # these used to pass silently: x = 2 or -1 fell back to a_msg 1,
+        # y = 2 fell back under typicality and raised IndexError under ml
+        code = bsc_code(8)
+        x, y, _ = (a.reshape(3, 8) for a in sample_source(J_BSC, 24,
+                                                          seed=1))
+        wide_x, wide_y = x.astype(np.int64), y.astype(np.int64)
+        for bad_x, bad_y in ((np.where(x == 1, 2, x), y), (wide_x - 1, y),
+                             (x.astype(float), y),
+                             (x, np.where(y == 1, 2, y)), (x, wide_y - 1),
+                             (x, y.astype(float))):
+            with pytest.raises(ParameterError, match="symbols"):
+                reconcile(bad_x, bad_y, code, decoder)
+            with pytest.raises(ParameterError, match="symbols"):
+                reconcile(bad_x[0], bad_y[0], code, decoder)
+        reconcile(wide_x, wide_y, code, decoder)
 
     def test_sequence_length_validated(self):
         code = bsc_code(8)
@@ -444,17 +532,21 @@ class TestBatchedReconcile:
         assert sorted(drawn) == sorted(bins)
         assert len(bins) < 2 * 300  # shared bins were drawn once
 
-    def test_peak_memory_follows_chunk_budget(self):
+    @pytest.mark.parametrize("n, blocks, decoder", [
+        (8, 1200, "ml"), (12, 40, "typicality")])
+    def test_peak_memory_follows_chunk_budget(self, n, blocks, decoder):
         # the sim_short_blocks code (n = 8, ml): its 1,200 blocks unchunked
         # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS candidate
         # symbols, and its largest intermediate, the float64 scores, takes
-        # 8 bytes per symbol
-        code = bsc_code(8)
-        x, y, _ = _blocks(8, 1200, seed=5)
-        reconcile(x[:1], y[:1], code, "ml")
+        # 8 bytes per symbol. The sim_long_blocks code (n = 12): the
+        # encoder's chunk holds at most CHUNK_ELEMENTS float32 counts and
+        # their bool window tests; the words' one-hot belongs to the code
+        code = bsc_code(n)
+        x, y, _ = _blocks(n, blocks, seed=5)
+        reconcile(x[:1], y[:1], code, decoder)
         tracemalloc.start()
         try:
-            reconcile(x, y, code, "ml")
+            reconcile(x, y, code, decoder)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -23,11 +23,10 @@ are batch axes; one block is a batch of one. A stage scores each block's
 candidate words over the last axis, CHUNK_ELEMENTS candidate symbols (the
 encoder: joint counts) at a time, so its intermediates stay small for any
 number of blocks, and ML scores are summed over that contiguous axis as
-for a single block. With
-a V layer, each call draws the codebook of each distinct (omega, nu) bin
-once, for every block in that bin, and holds those codebooks (one byte
-per symbol) until it returns. Two consequences at n <= 14 are worth
-knowing before reading any numbers:
+for a single block. With a V layer, each call draws the codebook of each
+distinct (omega, nu) bin once, for every block in that bin, and holds
+those codebooks (one byte per symbol) until it returns. Two consequences
+at n <= 14 are worth knowing before reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -493,11 +492,10 @@ def reconcile(x, y, code, decoder="typicality"):
     X and Y; the leading axes are batch axes and every field of the result
     carries them (one length-n block gives 0-d fields). Per block, Alice
     encodes x into the lowest typical (omega, nu) pair, falling back to
-    (1, 1), and publishes omega. Bob
-    picks the lowest admissible nu in the bin, covers (u, y) with a V
-    codeword, and publishes its k index. Alice then recovers her own V
-    estimate inside (her nu, his k). Each distinct bin's V codebook is
-    drawn once per call, for Bob and Alice together.
+    (1, 1), and publishes omega. Bob picks the lowest admissible nu in the
+    bin, covers (u, y) with a V codeword, and publishes its k index. Alice
+    then recovers her own V estimate inside (her nu, his k). Each distinct
+    bin's V codebook is drawn once per call, for Bob and Alice together.
     """
     if decoder not in ("typicality", "ml"):
         raise ParameterError(

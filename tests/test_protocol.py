@@ -532,25 +532,24 @@ class TestBatchedReconcile:
         assert sorted(drawn) == sorted(bins)
         assert len(bins) < 2 * 300  # shared bins were drawn once
 
-    @pytest.mark.parametrize("n, blocks, decoder", [
-        (8, 1200, "ml"), (12, 40, "typicality")])
-    def test_peak_memory_follows_chunk_budget(self, n, blocks, decoder):
+    def test_peak_memory_follows_chunk_budget(self):
         # the sim_short_blocks code (n = 8, ml): its 1,200 blocks unchunked
         # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS candidate
         # symbols, and its largest intermediate, the float64 scores, takes
         # 8 bytes per symbol. The sim_long_blocks code (n = 12): the
         # encoder's chunk holds at most CHUNK_ELEMENTS float32 counts and
         # their bool window tests; the words' one-hot belongs to the code
-        code = bsc_code(n)
-        x, y, _ = _blocks(n, blocks, seed=5)
-        reconcile(x[:1], y[:1], code, decoder)
-        tracemalloc.start()
-        try:
-            reconcile(x, y, code, decoder)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * protocol.CHUNK_ELEMENTS
+        for n, blocks, decoder in ((8, 1200, "ml"), (12, 40, "typicality")):
+            code = bsc_code(n)
+            x, y, _ = _blocks(n, blocks, seed=5)
+            reconcile(x[:1], y[:1], code, decoder)
+            tracemalloc.start()
+            try:
+                reconcile(x, y, code, decoder)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * protocol.CHUNK_ELEMENTS, (n, peak)
 
     def test_batch_shapes_validated(self):
         code = bsc_code(8)

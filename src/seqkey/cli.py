@@ -344,7 +344,7 @@ def cmd_simulate(args):
     rates = None
     if "r_u" in cfg:
         rates = Rates(r_u=cfg["r_u"], r_u_prime=cfg["r_u_prime"],
-                      r_v=0.0, r_v_prime=0.0, eps=eps)
+                      r_v=0.0, r_v_prime=0.0)
     params = ProtocolParams(n=cfg["n"], m=cfg["m"], k=cfg["k"],
                             epsilon=eps, trials=cfg["trials"],
                             seed=cfg["seed"],

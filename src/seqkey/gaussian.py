@@ -32,18 +32,15 @@ class GaussianSource:
 
     ``rho_xz`` defaults to ``rho_xy * rho_yz``, which is exactly the
     degraded (Markov) case; pass it explicitly to model anything else.
-    ``sigma_n`` is the noise standard deviation of the additive view
-    Y = X + N used by the quantizer; when omitted it is derived from
-    ``rho_xy`` (requires rho_xy > 0), and when given it must agree with
-    that derivation, since an inconsistent pair would silently corrupt
-    every downstream h(X|Y) term.
+    The read-only ``sigma_n`` is the noise standard deviation of the
+    additive view Y = X + N used by the quantizer, derived from sigma_x
+    and rho_xy (None unless 0 < |rho_xy| < 1).
     """
 
     rho_xy: float
     rho_yz: float = 0.0
     rho_xz: float = None
     sigma_x: float = 1.0
-    sigma_n: float = None
 
     def __post_init__(self):
         if self.rho_xz is None:
@@ -58,27 +55,21 @@ class GaussianSource:
             raise ParameterError(
                 "correlation coefficients do not form a positive semidefinite "
                 f"matrix (det = {self.correlation_det()!r})")
-        derived = None
-        if 0.0 < abs(self.rho_xy) < 1.0:
-            derived = self.sigma_x * math.sqrt(1.0 / self.rho_xy**2 - 1.0)
-        if self.sigma_n is None:
-            object.__setattr__(self, "sigma_n", derived)
-        else:
-            if not self.sigma_n > 0.0:
-                raise ParameterError(f"sigma_n must be > 0, got {self.sigma_n!r}")
-            if derived is None or abs(self.sigma_n - derived) > 1e-9 * derived:
-                raise ParameterError(
-                    f"sigma_n = {self.sigma_n!r} is inconsistent with the "
-                    f"additive view of rho_xy (expected {derived!r})")
+
+    @property
+    def sigma_n(self):
+        if not 0.0 < abs(self.rho_xy) < 1.0:
+            return None
+        return self.sigma_x * math.sqrt(1.0 / self.rho_xy**2 - 1.0)
 
     def correlation_det(self):
         """Determinant of the 3x3 correlation matrix."""
         xy, yz, xz = self.rho_xy, self.rho_yz, self.rho_xz
         return 1.0 + 2.0 * xy * yz * xz - xy * xy - yz * yz - xz * xz
 
-    def is_degraded(self, tol=DEGRADED_TOL):
-        """True when rho_xz = rho_xy * rho_yz within tol (Gaussian Markov)."""
-        return abs(self.rho_xz - self.rho_xy * self.rho_yz) <= tol
+    def is_degraded(self):
+        """True when rho_xz = rho_xy rho_yz (Gaussian Markov)."""
+        return abs(self.rho_xz - self.rho_xy * self.rho_yz) <= DEGRADED_TOL
 
 
 def _strict_rho(src):

@@ -232,7 +232,7 @@ class DiscreteJoint:
         """One-axis marginal as a DiscreteDist."""
         return DiscreteDist(self.marginal(axis))
 
-    def is_degraded(self, tol=DEGRADED_TOL):
+    def is_degraded(self):
         """True when p(z | x, y) = p(z | y) wherever p(x, y) > 0."""
         m = self.masses
         pxy = m.sum(axis=2)
@@ -246,7 +246,7 @@ class DiscreteJoint:
         if not mask.any():
             return True
         gap = np.abs(cond_xy - cond_y[None, :, :]).max(axis=2)
-        return bool(gap[mask].max() <= tol)
+        return bool(gap[mask].max() <= DEGRADED_TOL)
 
     def __repr__(self):
         return f"DiscreteJoint(dims={self.dims})"

@@ -102,9 +102,8 @@ class TestChannel:
         return cls(np.eye(n))
 
     @classmethod
-    def uniform(cls, n, m=None):
-        m = n if m is None else m
-        return cls(np.full((n, m), 1.0 / m))
+    def uniform(cls, n):
+        return cls(np.full((n, n), 1.0 / n))
 
     @classmethod
     def bsc(cls, beta):
@@ -125,6 +124,12 @@ class OptimizerOptions:
 
     starts: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, int) or value < 0:
+                raise ParameterError(
+                    f"{name} must be a non-negative int, got {value!r}")
 
 
 @dataclass(frozen=True)

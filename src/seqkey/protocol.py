@@ -13,7 +13,7 @@ depends only on the joint type of (x^n, u^n), so the encoder tests each
 distinct U word once, at most min(W, |U|^n) of them for a W-row codebook,
 and answers with the lowest row holding a typical word: the same index a
 scan of every row would give. It gets the joint counts of a chunk of blocks
-with all those words from one matrix product of one-hot tables. Every
+with a tile of those words from one matrix product of one-hot tables. Every
 typicality test compares integer counts with integer windows computed once
 from the float thresholds (_count_windows), which decides exactly as the
 float comparison would.
@@ -21,12 +21,13 @@ float comparison would.
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
 are batch axes; one block is a batch of one. A stage scores each block's
 candidate words over the last axis, CHUNK_ELEMENTS candidate symbols (the
-encoder: joint counts) at a time, so its intermediates stay small for any
-number of blocks, and ML scores are summed over that contiguous axis as
-for a single block. With a V layer, each call draws the codebook of each
-distinct (omega, nu) bin once, for every block in that bin, and holds
-those codebooks (one byte per symbol) until it returns. Two consequences
-at n <= 14 are worth knowing before reading any numbers:
+encoder: joint counts with one tile of words) at a time, so its
+intermediates stay small for any number of blocks, and ML scores are
+summed over that contiguous axis as for a single block. With a V layer,
+each call draws the codebook of each distinct (omega, nu) bin once, for
+every block in that bin, and holds those codebooks (one byte per symbol)
+until it returns. Two consequences at n <= 14 are worth knowing before
+reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -88,26 +89,30 @@ def _bits_per_symbol(size):
     return 0 if size <= 1 else (size - 1).bit_length()
 
 
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class Rates:
-    """Code-construction rates in bits per symbol, with the typicality
-    slack of the U layer (eps); the V layer's slack is eps2 = 2 eps."""
+    """Code-construction rates in bits per symbol, each finite. The
+    typicality slack is not a rate: a code takes it from its epsilon."""
 
     r_u: float
     r_u_prime: float
     r_v: float
     r_v_prime: float
-    eps: float
 
-    @property
-    def eps2(self):
-        return 2.0 * self.eps
+    def __post_init__(self):
+        for name, rate in vars(self).items():
+            if not math.isfinite(rate):
+                raise ParameterError(f"{name} must be finite, got {rate!r}")
 
 
 def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
     """R_u = I(X;U|Y) + 6 eps H(U) and companions, all in bits."""
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     eps2 = 2.0 * epsilon
 
     def h(a):
@@ -135,11 +140,18 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
         r_v = i_v_y_xu + 6.0 * eps2 * h_v_u
         r_v_prime = i_v_x_u - 3.0 * eps2 * h_v_u
     return Rates(r_u=r_u, r_u_prime=r_u_prime, r_v=r_v,
-                 r_v_prime=r_v_prime, eps=epsilon)
+                 r_v_prime=r_v_prime)
 
 
 def _size(rate_bits, n):
-    return max(1, math.ceil(2.0 ** (n * max(rate_bits, 0.0))))
+    # a rate past the U budget's 22 bits is infeasible whatever the others
+    # are; it is refused before 2^(n rate), which may overflow, is formed
+    bits = n * max(rate_bits, 0.0)
+    if bits > math.log2(MAX_U_CODEWORDS):
+        raise InfeasibleError(
+            f"rate {rate_bits!r} at n = {n} asks for 2^{bits:g} codewords, "
+            "over every codebook budget; lower n or the rates")
+    return max(1, math.ceil(2.0 ** bits))
 
 
 def _count_windows(pmf_flat, eps, n):
@@ -224,6 +236,12 @@ def _distinct_rows(codebook, base):
     return codebook[first], first
 
 
+def _conditional(num, den, fallback):
+    """num / den where den > 0 and fallback elsewhere; den broadcasts
+    against num."""
+    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), fallback)
+
+
 def _log_table(p):
     return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), LOG_ZERO)
 
@@ -235,7 +253,9 @@ class ReconCode:
     The U codebook is materialized (row r = pair (omega, nu) with
     r = omega * w_nu + nu, so row order is the lexicographic pair order).
     Next to it sit its distinct words and the lowest row of each, so the
-    encoder tests at most min(W, |U|^n) words instead of all W rows.
+    encoder tests at most min(W, |U|^n) words instead of all W rows. Every
+    typicality test of the U layer uses the slack eps, the V layer's uses
+    eps2 = 2 eps.
     V codebooks are per-(omega, nu) and are regenerated on demand from
     their own stream key, which keeps them fixed across trials without
     materializing all of them; a reconcile call draws each bin it needs
@@ -244,6 +264,7 @@ class ReconCode:
 
     n: int
     seed: int
+    eps: float
     rates: Rates
     w_u: int
     w_nu: int
@@ -254,8 +275,6 @@ class ReconCode:
     u_codebook: np.ndarray          # (w_u * w_nu, n) symbols of U
     u_words: np.ndarray             # (D, n) distinct rows of u_codebook
     u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
-    u_onehot: np.ndarray            # (n, |U| D) float32, column u D + d
-                                    # is 1 where word d holds symbol u
     pmf_xu: np.ndarray              # flat typicality references
     pmf_yu: np.ndarray
     pmf_uyv: np.ndarray
@@ -273,12 +292,17 @@ class ReconCode:
     def nv_size(self):
         return self.v_given_yu.shape[2]
 
+    @property
+    def eps2(self):
+        return 2.0 * self.eps
+
     @classmethod
     def generate(cls, j, tc_u, n, epsilon, seed, v_given_yu=None,
                  rates=None):
         if not isinstance(n, int) or not 2 <= n <= 14:
             raise ParameterError(
                 f"block length must be an integer in [2, 14], got {n!r}")
+        _check_epsilon(epsilon)
         nx, ny, _ = j.dims
         if tc_u.rows.shape[0] != nx:
             raise ParameterError(
@@ -320,33 +344,23 @@ class ReconCode:
         p_uyv = p_yu.T[:, :, None] * v_given_yu.transpose(1, 0, 2)
         p_xuv = np.einsum("ab,au,buv->auv", p_xy, tc_u.rows, v_given_yu)
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond_y_u = np.where(p_u[None, :] > 0.0,
-                                p_yu / np.where(p_u > 0.0, p_u, 1.0), 0.0)
-            p_v_by_u = p_uyv.sum(axis=1)
-            row = p_v_by_u.sum(axis=1, keepdims=True)
-            p_v_by_u = np.where(row > 0.0, p_v_by_u / np.where(
-                row > 0.0, row, 1.0), 1.0 / nv)
-            cond_v_uy = np.where(
-                p_uyv.sum(axis=2, keepdims=True) > 0.0,
-                p_uyv / np.where(p_uyv.sum(axis=2, keepdims=True) > 0.0,
-                                 p_uyv.sum(axis=2, keepdims=True), 1.0),
-                1.0 / nv)
-            p_xu_v = p_xuv.sum(axis=2, keepdims=True)
-            cond_v_xu = np.where(p_xu_v > 0.0,
-                                 p_xuv / np.where(p_xu_v > 0.0, p_xu_v,
-                                                  1.0), 1.0 / nv)
+        cond_y_u = _conditional(p_yu, p_u, 0.0)
+        p_v_u = p_uyv.sum(axis=1)
+        p_v_by_u = _conditional(p_v_u, p_v_u.sum(axis=1, keepdims=True),
+                                1.0 / nv)
+        cond_v_uy = _conditional(
+            p_uyv, p_uyv.sum(axis=2, keepdims=True), 1.0 / nv)
+        cond_v_xu = _conditional(
+            p_xuv, p_xuv.sum(axis=2, keepdims=True), 1.0 / nv)
 
         u_codebook = _draw_symbols(_stream(seed, 0), p_u, (w_u * w_nu, n))
         u_words, u_first_rows = _distinct_rows(u_codebook, nu)
-        u_onehot = (u_words.T[:, None, :] == np.arange(nu)[:, None]).reshape(
-            n, -1).astype(np.float32)
 
         return cls(
-            n=n, seed=int(seed), rates=rates, w_u=w_u, w_nu=w_nu, w_k=w_k,
-            w_l=w_l, tc_rows=tc_u.rows, v_given_yu=v_given_yu,
-            u_codebook=u_codebook, u_words=u_words,
-            u_first_rows=u_first_rows, u_onehot=u_onehot,
+            n=n, seed=int(seed), eps=epsilon, rates=rates, w_u=w_u,
+            w_nu=w_nu, w_k=w_k, w_l=w_l, tc_rows=tc_u.rows,
+            v_given_yu=v_given_yu, u_codebook=u_codebook, u_words=u_words,
+            u_first_rows=u_first_rows,
             pmf_xu=p_xu.ravel(), pmf_yu=p_yu.ravel(),
             pmf_uyv=p_uyv.ravel(), pmf_xuv=p_xuv.ravel(),
             ll_y_given_u=_log_table(cond_y_u),
@@ -396,37 +410,46 @@ def _encode_alice(x, code):
     """(omega, nu, found) per block: the lowest codebook row whose word is
     jointly typical with x, or (0, 0, False) when no word is.
 
-    The joint counts N(a, u) of a chunk of blocks with every distinct word
-    come from one float32 product: the (blocks |X|, n) one-hot of x times
-    the code's (n, |U| D) one-hot of its words. The counts are small
+    The distinct words are taken in tiles, in order, and each tile's
+    (n, |U| words) one-hot is built once. The joint counts N(a, u) of a
+    chunk of blocks with a tile's words come from one float32 product: the
+    (blocks |X|, n) one-hot of x times the tile's. The counts are small
     integers, so float32 holds them exactly and the integer windows of
     _count_windows decide typicality as the float thresholds would. A
-    chunk holds at most CHUNK_ELEMENTS counts, in one buffer reused by
-    every chunk.
+    block leaves the scan at the first tile holding a typical word. A tile
+    holds at most CHUNK_ELEMENTS // 8 one-hot entries and a chunk at most
+    CHUNK_ELEMENTS counts, in one buffer reused by every chunk.
     """
     lead, n = x.shape[:-1], x.shape[-1]
     x = x.reshape(-1, n)
-    cells, words = code.pmf_xu.size, len(code.u_words)
+    nu, cells, words = code.nu_size, code.pmf_xu.size, len(code.u_words)
     # exact in float32: the windows are integers
     lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in
-              _count_windows(code.pmf_xu, code.rates.eps, n))
-    symbols = np.arange(cells // code.nu_size)[:, None]
+              _count_windows(code.pmf_xu, code.eps, n))
+    symbols = np.arange(cells // nu)[:, None]
     word = np.zeros(len(x), dtype=np.intp)
     found = np.zeros(len(x), dtype=bool)
-    step = max(1, min(len(x), CHUNK_ELEMENTS // (cells * words)))
-    buf = np.empty((step * len(symbols), code.u_onehot.shape[1]),
-                   dtype=np.float32)
-    for start in range(0, len(x), step):
-        blocks = slice(start, start + step)
-        onehot = (x[blocks, None, :] == symbols).astype(np.float32).reshape(
-            -1, n)
-        counts = np.matmul(onehot, code.u_onehot,
-                           out=buf[:len(onehot)]).reshape(-1, cells, words)
-        ok = counts >= lo
-        ok &= counts <= hi
-        ok = np.logical_and.reduce(ok, axis=1)
-        found[blocks] = ok.any(axis=-1)
-        word[blocks] = np.argmax(ok, axis=-1)
+    width = max(1, min(words, CHUNK_ELEMENTS // (8 * n * nu)))
+    step = max(1, min(len(x), CHUNK_ELEMENTS // (cells * width)))
+    buf = np.empty(step * len(symbols) * nu * width, dtype=np.float32)
+    for first in range(0, words, width):
+        tile = code.u_words[first:first + width]
+        tile_hot = (tile.T[:, None, :] == np.arange(nu)[:, None]).reshape(
+            n, -1).astype(np.float32)
+        todo = np.flatnonzero(~found)
+        for start in range(0, len(todo), step):
+            blocks = todo[start:start + step]
+            onehot = (x[blocks, None, :] == symbols).astype(
+                np.float32).reshape(-1, n)
+            out = buf[:len(onehot) * tile_hot.shape[1]].reshape(
+                len(onehot), -1)
+            counts = np.matmul(onehot, tile_hot, out=out).reshape(
+                len(blocks), cells, -1)
+            ok = counts >= lo
+            ok &= counts <= hi
+            ok = np.logical_and.reduce(ok, axis=1)
+            found[blocks] = ok.any(axis=-1)
+            word[blocks] = first + np.argmax(ok, axis=-1)
     flat = np.where(found, code.u_first_rows[word], 0).reshape(lead)
     return flat // code.w_nu, flat % code.w_nu, found.reshape(lead)
 
@@ -435,7 +458,7 @@ def _decode_u(y, omega_idx, code, decoder):
     """Bob's (nu, found) per block, within its public bin omega."""
     return _pick(y.astype(np.int16) * code.nu_size, code.u_codebook,
                  omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
-                 code.ll_y_given_u, code.rates.eps, decoder)
+                 code.ll_y_given_u, code.eps, decoder)
 
 
 def _v_books(code, omega_idx, nu_idx):
@@ -459,7 +482,7 @@ def _cover_v(y, shat_u, books, first, code, decoder):
     ny, nv = code.v_given_yu.shape[0], code.nv_size
     flat, _ = _pick((shat_u.astype(np.int32) * ny + y) * nv, books, first,
                     code.w_k * code.w_l, code.pmf_uyv, code.ll_v_given_uy,
-                    code.rates.eps2, decoder)
+                    code.eps2, decoder)
     return flat // code.w_l, books[first + flat]
 
 
@@ -480,7 +503,7 @@ def _recover_alice(x, s_u, books, first, k_idx, code, decoder):
     start = first + k_idx * code.w_l
     l_idx, _ = _pick((x.astype(np.int32) * code.nu_size + s_u)
                      * code.nv_size, books, start, code.w_l, code.pmf_xuv,
-                     code.ll_v_given_xu, code.rates.eps2, decoder)
+                     code.ll_v_given_xu, code.eps2, decoder)
     return books[start + l_idx]
 
 
@@ -610,12 +633,13 @@ class ProtocolParams:
             raise ParameterError(
                 f"key length {self.k} exceeds the n*m = "
                 f"{self.n * self.m} source budget")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(
-                f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError(
                 f"trials must be a positive int, got {self.trials!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterError(
+                f"seed must be a non-negative int, got {self.seed!r}")
         if self.decoder not in ("typicality", "ml"):
             raise ParameterError(
                 f"decoder must be 'typicality' or 'ml', got "
@@ -653,24 +677,21 @@ def _plugin_mi_bits(pairs, trials):
     return mi
 
 
-def leakage_estimate(keys, views, rng, shuffles=SHUFFLE_ROUNDS):
+def leakage_estimate(keys, views, rng):
     """Plug-in MI between keys and views plus its shuffle-null statistics.
 
-    Returns (mi, null_mean, null_sd). The null repeatedly permutes the key
-    column against the views, which measures the estimator's finite-sample
-    bias on exactly this view layout; mi landing inside the null band means
-    no detectable leakage.
+    Returns (mi, null_mean, null_sd). The null permutes the key column
+    against the views SHUFFLE_ROUNDS times, which measures the estimator's
+    finite-sample bias on exactly this view layout; mi landing inside the
+    null band means no detectable leakage.
     """
     trials = len(keys)
     if trials != len(views) or trials == 0:
         raise ParameterError("keys and views must be equal-length and "
                              "non-empty")
-    if not isinstance(shuffles, int) or shuffles < 1:
-        raise ParameterError(
-            f"shuffles must be a positive int, got {shuffles!r}")
     mi = _plugin_mi_bits(list(zip(keys, views)), trials)
     nulls = []
-    for _ in range(shuffles):
+    for _ in range(SHUFFLE_ROUNDS):
         perm = rng.permutation(trials)
         nulls.append(_plugin_mi_bits(
             [(keys[p], views[i]) for i, p in enumerate(perm)], trials))

@@ -48,6 +48,8 @@ _Y_TOL = 1e-9          # absolute tolerance of the y-integration
 _Y_HALFWIDTH = 8.5     # integration window in units of sigma_y
 _Y_PANELS = 64         # panels of the fixed y-rule inside optimize_partition
 _GRAD_TOL = 1e-8       # optimize_partition stops at this gradient inf-norm
+PARTITION_ITERS = 400  # optimize_partition's BFGS step budget
+_SUPPORT_SIGMAS = 8.0  # center grid half-width over sigma_x (tail < 1e-15)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ERF = np.vectorize(math.erf, otypes=[float])
 
@@ -102,31 +104,20 @@ def _adaptive_gl(fun, lo, hi, tol, order=16, max_depth=26):
 
 @dataclass(frozen=True)
 class UniformQuantizer:
-    """Uniform cell width plus the truncation radius of the center grid.
-
-    ``support_halfwidth`` is in absolute units; None defers to 8 sigma_x of
-    the source at evaluation time (tail mass < 1e-15).
+    """Uniform cell width. The center grid covers 8 sigma_x of the source
+    on each side (tail mass < 1e-15).
     """
 
     delta: float
-    support_halfwidth: float = None
 
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ParameterError(f"delta must be > 0, got {self.delta!r}")
-        if self.support_halfwidth is not None and not self.support_halfwidth > 0.0:
-            raise ParameterError(
-                f"support_halfwidth must be > 0, got {self.support_halfwidth!r}")
 
     def centers(self, halfwidth):
         """Cell centers t_n = delta/2 + (n-1) delta covering [-hw, hw]."""
         k = int(math.ceil(halfwidth / self.delta + 0.5))
         return (np.arange(-k + 1, k + 1) - 0.5) * self.delta
-
-
-def _resolve_halfwidth(src, q):
-    hw = q.support_halfwidth
-    return 8.0 * src.sigma_x if hw is None else hw
 
 
 def _geometry(src):
@@ -148,15 +139,9 @@ def quantizer_marginal(src, q):
 
     Returns ``(dist, factor)`` where factor is the raw sum of the
     p_X(t_n) Delta masses; the pmf is the masses divided by it. Raises when
-    truncation or coarseness pushes the factor outside [1 - 1e-6, 1 + 1e-6].
+    coarseness pushes the factor outside [1 - 1e-6, 1 + 1e-6].
     """
-    hw = _resolve_halfwidth(src, q)
-    tail = 1.0 - math.erf(hw / (math.sqrt(2.0) * src.sigma_x))
-    if tail > 5.0e-7:
-        raise ParameterError(
-            f"support_halfwidth {hw!r} truncates {tail:.2e} of the source "
-            "mass; increase support_halfwidth")
-    t = q.centers(hw)
+    t = q.centers(_SUPPORT_SIGMAS * src.sigma_x)
     masses = q.delta * np.exp(-t * t / (2.0 * src.sigma_x**2)) / (
         _SQRT_2PI * src.sigma_x)
     factor = float(masses.sum())
@@ -181,8 +166,7 @@ def quantized_mi(src, q):
         return 0.0
     marg, _ = quantizer_marginal(src, q)
     sy, slope, sc = _geometry(src)
-    hw = _resolve_halfwidth(src, q)
-    t = q.centers(hw)
+    t = q.centers(_SUPPORT_SIGMAS * src.sigma_x)
     log_norm = math.log(q.delta / (sc * _SQRT_2PI))
 
     def integrand(y):
@@ -221,9 +205,6 @@ def gap_constants(src):
     sy, _, _ = _geometry(src)
     sx = src.sigma_x
     sn = src.sigma_n
-    if sn is None:
-        raise ParameterError("rho_xy = 0 has no additive-noise view; the "
-                             "gap analysis needs 0 < |rho_xy| < 1")
     a1 = 1.0 / (_SQRT_2PI * sx)
     b1 = abs(math.log(1.0 / (_SQRT_2PI * sx)) - 0.5)
     a2 = (1.0 / _SQRT_2PI) * (sy**2 - sx**2 / (math.sqrt(2.0) * sn))**2 / (
@@ -414,7 +395,7 @@ def _mi_and_grad(u, slope, sc, y, wy):
     return float(mi), grad
 
 
-def optimize_partition(src, n_cells, max_iters=400):
+def optimize_partition(src, n_cells):
     """Boundaries maximizing I(X_Q;Y) for L cells, by BFGS ascent.
 
     Starts from the quantile partition (equal cell masses). Each step
@@ -424,8 +405,8 @@ def optimize_partition(src, n_cells, max_iters=400):
     y-rule (64 panels of 16 Gauss-Legendre nodes on +-8.5 sigma_y). The
     solve runs on the boundaries in units of sigma_x, on which the MI
     alone depends, and converges once the gradient inf-norm there is at
-    most 1e-8; when ``max_iters`` steps do not get there, or the step
-    halving stalls, it raises ConvergenceError. Returns
+    most 1e-8; when PARTITION_ITERS (400) steps do not get there, or the
+    step halving stalls, it raises ConvergenceError. Returns
     ``(Partition, mi)`` with mi from ``partition_mi(tol=1e-11)`` at the
     final boundaries.
     """
@@ -440,11 +421,11 @@ def optimize_partition(src, n_cells, max_iters=400):
     inv_hess = np.eye(u.size)
     iters = 0
     while np.abs(grad).max() > _GRAD_TOL:
-        if iters == max_iters:
+        if iters == PARTITION_ITERS:
             raise ConvergenceError(
                 f"{n_cells}-cell partition: gradient inf-norm "
                 f"{np.abs(grad).max():.3e} > {_GRAD_TOL:g} after "
-                f"{max_iters} iterations")
+                f"{PARTITION_ITERS} iterations")
         iters += 1
         step = inv_hess @ grad
         rise = grad @ step

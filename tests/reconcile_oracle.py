@@ -45,7 +45,7 @@ def encode_alice(x, code):
     typical with x, or (0, 0, False) when no word is."""
     nu = code.nu_size
     codes = x.astype(np.int16)[None, :] * nu + code.u_words
-    mask = typical_mask(codes, code.pmf_xu, code.rates.eps, code.n)
+    mask = typical_mask(codes, code.pmf_xu, code.eps, code.n)
     if mask.any():
         flat = int(code.u_first_rows[np.argmax(mask)])
         return flat // code.w_nu, flat % code.w_nu, True
@@ -59,7 +59,7 @@ def decode_bob(y, omega_idx, code, decoder):
     cand = code.u_codebook[lo:lo + code.w_nu]
     codes = y.astype(np.int16)[None, :] * code.nu_size + cand
     nu_idx, found = pick(codes, code.pmf_yu, code.ll_y_given_u,
-                         code.rates.eps, code.n, decoder)
+                         code.eps, code.n, decoder)
     shat_u = cand[nu_idx]
 
     vcands = code.v_codebook(omega_idx, nu_idx)
@@ -67,7 +67,7 @@ def decode_bob(y, omega_idx, code, decoder):
     codes = (shat_u.astype(np.int32)[None, :] * ny
              + y.astype(np.int32)[None, :]) * nv + vcands
     flat, _ = pick(codes, code.pmf_uyv, code.ll_v_given_uy,
-                   code.rates.eps2, code.n, decoder)
+                   code.eps2, code.n, decoder)
     return shat_u, nu_idx, flat // code.w_l, vcands[flat], found
 
 
@@ -77,7 +77,7 @@ def recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder):
     codes = (x.astype(np.int32)[None, :] * code.nu_size
              + s_u.astype(np.int32)[None, :]) * code.nv_size + acands
     l_idx, _ = pick(codes, code.pmf_xuv, code.ll_v_given_xu,
-                    code.rates.eps2, code.n, decoder)
+                    code.eps2, code.n, decoder)
     return acands[l_idx]
 
 

@@ -18,7 +18,6 @@ from seqkey.cli import (
 )
 from seqkey.errors import ParameterError
 from seqkey.measures import gaussian_mi
-from seqkey.quantize import optimize_partition
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -109,13 +108,34 @@ class TestExitCodes:
     def test_simulate_without_config_is_2(self, capsys):
         assert main(["simulate"]) == 2
 
+    @pytest.mark.parametrize("r_u, rc", [("nan", 2), ("inf", 2),
+                                         ("200", 3), ("100", 3)])
+    def test_rate_override_exit_codes(self, tmp_path, capsys, r_u, rc):
+        # nan, inf and 200 used to end in a traceback with exit code 1
+        cfg = write_cfg(tmp_path,
+                        "p = 0.1\nq = 0.5\nn = 8\nm = 1\nk = 4\n"
+                        f"trials = 5\nseed = 0\nr_u = {r_u}\n"
+                        "r_u_prime = 0.25\n")
+        assert main(["simulate", cfg]) == rc
+        assert "seqkey:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--demo", "--seed", "-1"],
+        ["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3",
+         "--seed", "-1"],
+        ["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3",
+         "--starts", "-5"],
+    ], ids=["simulate-seed", "optimize-seed", "optimize-starts"])
+    def test_negative_seed_or_starts_is_2(self, argv, capsys):
+        # the seeds used to end in a traceback with exit code 1, and
+        # --starts -5 ran one member under "lagrangian-squarem[-4]"
+        assert main(argv) == 2
+        assert "non-negative int" in capsys.readouterr().err
+
     def test_unconverged_partition_is_4(self, monkeypatch, capsys):
         # a one-iteration budget cannot reach the gradient tolerance at
         # five cells, so the solver raises ConvergenceError
-        def one_step(src, cells):
-            return optimize_partition(src, cells, max_iters=1)
-
-        monkeypatch.setattr("seqkey.cli.optimize_partition", one_step)
+        monkeypatch.setattr("seqkey.quantize.PARTITION_ITERS", 1)
         rc = main(["quantize", "partition", "--rho-xy", "0.75",
                    "--l-min", "5", "--l-max", "5"])
         assert rc == 4

@@ -32,10 +32,14 @@ def test_source_sigma_n_derivation():
     # additive view: rho^2 = sigma_x^2 / (sigma_x^2 + sigma_n^2)
     expected = math.sqrt(1.0 / 0.75**2 - 1.0)
     assert src.sigma_n == pytest.approx(expected, rel=1e-12)
-    same = GaussianSource(rho_xy=0.75, sigma_n=expected)
-    assert same.sigma_n == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ParameterError):
-        GaussianSource(rho_xy=0.75, sigma_n=2.0 * expected)
+    # derived, never given: one correlation gives one source
+    with pytest.raises(TypeError):
+        GaussianSource(rho_xy=0.75, sigma_n=expected)
+    with pytest.raises(AttributeError):
+        src.sigma_n = expected
+    assert src == GaussianSource(rho_xy=0.75)
+    assert GaussianSource(rho_xy=0.0).sigma_n is None
+    assert GaussianSource(rho_xy=1.0).sigma_n is None
 
 
 def test_source_validation():

@@ -80,7 +80,8 @@ class TestTestChannel:
 
     def test_constructors(self):
         assert np.array_equal(TestChannel.identity(3).rows, np.eye(3))
-        assert TestChannel.uniform(4, 2).rows.shape == (4, 2)
+        assert np.array_equal(TestChannel.uniform(4).rows,
+                              np.full((4, 4), 0.25))
         assert TestChannel.bsc(0.1).rows[0, 1] == pytest.approx(0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -188,6 +189,15 @@ class TestOptimizeOneway:
         b = optimize_oneway(JOINT, 0.2, objective="wsk",
                             opts=OptimizerOptions(starts=8, seed=99)).value
         assert abs(a - b) <= 1e-5
+
+    def test_options_validated(self):
+        # a negative seed reached numpy's default_rng, and starts = -5 ran
+        # the identity channel alone under the method "lagrangian-squarem[-4]"
+        OptimizerOptions(starts=0, seed=0)
+        for bad in (dict(starts=-5), dict(seed=-1), dict(starts=2.0),
+                    dict(seed="1")):
+            with pytest.raises(ParameterError):
+                OptimizerOptions(**bad)
 
     def test_result_channel_reproduces_residual(self):
         res = optimize_oneway(JOINT, 0.3, objective="rec", opts=FAST)

@@ -76,7 +76,9 @@ class TestDesignRates:
         assert r.r_u_prime == pytest.approx(1.0 - hxy - 0.45, abs=1e-12)
         assert r.r_v == 0.0
         assert r.r_v_prime == 0.0
-        assert r.eps2 == pytest.approx(0.3)
+        # the slack is the code's, not a rate
+        assert [f.name for f in fields(r)] == ["r_u", "r_u_prime", "r_v",
+                                               "r_v_prime"]
 
     def test_v_layer_rates(self):
         # V = Y through an erasure-free copy: I(V;Y|XU) = H(Y|XU)
@@ -93,6 +95,14 @@ class TestDesignRates:
     def test_epsilon_domain(self):
         with pytest.raises(ParameterError):
             design_rates(J_BSC, TC_ID, epsilon=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        for name in ("r_u", "r_u_prime", "r_v", "r_v_prime"):
+            rates = dict(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
+            rates[name] = bad
+            with pytest.raises(ParameterError, match=name):
+                Rates(**rates)
 
 
 class TestReconCode:
@@ -180,8 +190,7 @@ class TestReconCode:
     def test_v_codebook_without_v_layer_matches_draw(self):
         # nv = 1: the draw-then-clamp construction always gave zeros,
         # also when explicit rates ask for several V codewords per bin
-        wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25,
-                     eps=0.15)
+        wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25)
         codes = (bsc_code(8), bsc_code(8, rates=wide))
         assert codes[1].w_k * codes[1].w_l == 16 * 4
         for code in codes:
@@ -193,10 +202,43 @@ class TestReconCode:
                     got, _drawn_v_codebook(code, omega, nu_idx))
 
     def test_budget_guard(self):
-        big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0,
-                    eps=0.15)
+        big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0)
         with pytest.raises(InfeasibleError):
             bsc_code(12, rates=big)
+
+    @pytest.mark.parametrize("field", ["r_u", "r_u_prime", "r_v",
+                                       "r_v_prime"])
+    @pytest.mark.parametrize("rate", [100.0, 200.0, 1e300])
+    def test_oversized_rate_is_infeasible(self, field, rate):
+        # 2^(n rate) overflowed a float at rate 200 and raised
+        # OverflowError before the budget guard could answer
+        rates = dict(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
+        rates[field] = rate
+        with pytest.raises(InfeasibleError, match="codebook budget"):
+            ReconCode.generate(J_BSC, TC_ID, n=8, epsilon=0.15, seed=0,
+                               v_given_yu=_v_channel(2),
+                               rates=Rates(**rates))
+
+    def test_windows_use_epsilon_with_explicit_rates(self):
+        # explicit rates used to bring a slack of their own, which
+        # overrode epsilon without a word. At eps = 0.15 the BSC(0.2)
+        # channel's windows hold no count at n = 8; at 0.5 they do.
+        narrow, wide = (ReconCode.generate(
+            J_BSC, TestChannel.bsc(0.2), n=8, epsilon=eps, seed=8,
+            rates=WIDE_RATES) for eps in (0.15, WIDE_EPS))
+        assert (narrow.eps, wide.eps) == (0.15, WIDE_EPS)
+        assert (narrow.eps2, wide.eps2) == (0.3, 2 * WIDE_EPS)
+        x, y, _ = _blocks(8, 60, seed=8)
+        assert not reconcile(x, y, narrow).alice_found.any()
+        res = reconcile(x, y, wide)
+        assert res.alice_found.any() and res.bob_found.any()
+        for b in range(60):
+            assert _encode_alice(x[b], wide) == _scan_encode(x[b], wide)
+
+    def test_epsilon_domain_with_explicit_rates(self):
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(ParameterError, match="epsilon"):
+                bsc_code(8, epsilon=bad, rates=WIDE_RATES)
 
     def test_block_length_domain(self):
         with pytest.raises(ParameterError):
@@ -240,8 +282,8 @@ def _scan_encode(x, code):
     counts = np.bincount(
         (np.arange(rows)[:, None] * cells + codes).ravel(),
         minlength=rows * cells).reshape(rows, cells)
-    lo = code.n * code.pmf_xu * (1.0 - code.rates.eps) - 1e-9
-    hi = code.n * code.pmf_xu * (1.0 + code.rates.eps) + 1e-9
+    lo = code.n * code.pmf_xu * (1.0 - code.eps) - 1e-9
+    hi = code.n * code.pmf_xu * (1.0 + code.eps) + 1e-9
     hits = np.flatnonzero(((counts >= lo) & (counts <= hi)).all(axis=1))
     if hits.size == 0:
         return 0, 0, False
@@ -249,18 +291,19 @@ def _scan_encode(x, code):
 
 
 # BSC(0.2) test channel: no zero-mass (x, u) cell. At eps = 0.15 its
-# windows hold no integer count for n in {4, 8, 12}, so the rates widen eps.
-WIDE_EPS = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0,
-                 eps=0.5)
+# windows hold no integer count for n in {4, 8, 12}, so its code takes a
+# wider eps, with rates of its own.
+WIDE_EPS = 0.5
+WIDE_RATES = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
 
 
 class TestEncodeAlice:
     @pytest.mark.parametrize("n", [4, 8, 12])
-    @pytest.mark.parametrize("tc, rates", [
-        (TC_ID, None), (TestChannel.bsc(0.2), WIDE_EPS)],
+    @pytest.mark.parametrize("tc, epsilon, rates", [
+        (TC_ID, 0.15, None), (TestChannel.bsc(0.2), WIDE_EPS, WIDE_RATES)],
         ids=["identity", "bsc0.2"])
-    def test_matches_full_scan(self, tc, rates, n):
-        code = ReconCode.generate(J_BSC, tc, n=n, epsilon=0.15, seed=n,
+    def test_matches_full_scan(self, tc, epsilon, rates, n):
+        code = ReconCode.generate(J_BSC, tc, n=n, epsilon=epsilon, seed=n,
                                   rates=rates)
         found = 0
         for t in range(120):
@@ -323,8 +366,43 @@ TERNARY_TC = TestChannel([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
 TERNARY_J = joint_from_cascade(
     [0.5, 0.25, 0.25], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
     [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
-TERNARY_RATES = Rates(r_u=1.2, r_u_prime=0.4, r_v=0.0, r_v_prime=0.0,
-                      eps=0.5)
+TERNARY_RATES = Rates(r_u=1.2, r_u_prime=0.4, r_v=0.0, r_v_prime=0.0)
+
+
+def test_ml_tables_fall_back_on_empty_contexts():
+    # U = 2 has no mass, and 6 of 9 (x, u) cells have none: each context
+    # without mass gets its table's fallback, 0 for p(y|u) and 1/nv for
+    # the V layer's conditionals; every other entry is num / den
+    tc = TestChannel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    v = np.stack([np.full((3, 2), 0.3), np.full((3, 2), 0.5),
+                  np.full((3, 2), 0.8)])
+    v[..., 1] = 1.0 - v[..., 0]
+    code = ReconCode.generate(
+        TERNARY_J, tc, n=4, epsilon=0.5, seed=4, v_given_yu=v,
+        rates=Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25))
+    p_u = code.pmf_xu.reshape(3, 3).sum(axis=0)
+    p_yu = code.pmf_yu.reshape(3, 3)
+    p_uyv = code.pmf_uyv.reshape(3, 3, 2)
+    p_xuv = code.pmf_xuv.reshape(3, 3, 2)
+    p_v_u = p_uyv.sum(axis=1)
+    assert p_u[2] == 0.0 and (p_xuv.sum(axis=2) == 0.0).sum() == 6
+
+    def guarded(num, den, fallback):
+        return np.array([n / d if d > 0.0 else fallback
+                         for n, d in zip(num.ravel(), den.ravel())]
+                        ).reshape(num.shape)
+
+    def cond_v(p):
+        return guarded(p, np.repeat(p.sum(axis=-1), 2), 0.5)
+
+    assert np.array_equal(code.ll_y_given_u, protocol._log_table(
+        guarded(p_yu, np.tile(p_u, 3), 0.0)))
+    assert np.array_equal(code.ll_v_given_uy,
+                          protocol._log_table(cond_v(p_uyv)))
+    assert np.array_equal(code.ll_v_given_xu,
+                          protocol._log_table(cond_v(p_xuv)))
+    assert np.array_equal(code.p_v_cum_by_u, np.cumsum(cond_v(p_v_u),
+                                                       axis=1))
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -332,7 +410,8 @@ def test_ternary_encoder_matches_full_scan(n, monkeypatch):
     code = ReconCode.generate(TERNARY_J, TERNARY_TC, n=n, epsilon=0.5,
                               seed=n, rates=TERNARY_RATES)
     assert code.pmf_xu.size == 9 and (code.pmf_xu == 0.0).sum() == 5
-    # three blocks per chunk: edges fall inside the 40-block batch
+    # the counts of three blocks with every word: the words fall into 4 or
+    # 6 tiles, and chunk edges (11 or 16 blocks) inside the 40-block batch
     monkeypatch.setattr(protocol, "CHUNK_ELEMENTS",
                         3 * code.pmf_xu.size * len(code.u_words))
     x, y, _ = (a.reshape(40, n) for a in sample_source(
@@ -381,7 +460,7 @@ class TestReconcile:
         # spurious candidates and the error rate stays bounded away from 0
         base = design_rates(J_BSC, TC_ID, epsilon=0.15)
         low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
-                    r_v=0.0, r_v_prime=0.0, eps=0.15)
+                    r_v=0.0, r_v_prime=0.0)
         code = bsc_code(10, seed=5, rates=low)
         from seqkey.protocol import _stream
         errs = 0
@@ -435,17 +514,16 @@ def _v_channel(nv):
 # codes for the batch-against-oracle tests; the V layers get several k
 # groups of several codewords each, so Alice's window is not one row
 BATCH_CODES = {
-    "no_v": dict(n=8),
-    "nv2": dict(n=8, v_given_yu=_v_channel(2), rates=Rates(
-        r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25, eps=0.15)),
-    "nv3": dict(n=6, v_given_yu=_v_channel(3), rates=Rates(
-        r_u=1.2, r_u_prime=0.3, r_v=0.6, r_v_prime=0.4, eps=0.3)),
+    "no_v": dict(n=8, epsilon=0.15),
+    "nv2": dict(n=8, epsilon=0.15, v_given_yu=_v_channel(2), rates=Rates(
+        r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25)),
+    "nv3": dict(n=6, epsilon=0.3, v_given_yu=_v_channel(3), rates=Rates(
+        r_u=1.2, r_u_prime=0.3, r_v=0.6, r_v_prime=0.4)),
 }
 
 
 def _batch_code(name):
-    return ReconCode.generate(J_BSC, TC_ID, epsilon=0.15, seed=3,
-                              **BATCH_CODES[name])
+    return ReconCode.generate(J_BSC, TC_ID, seed=3, **BATCH_CODES[name])
 
 
 def _blocks(n, count, seed):
@@ -538,7 +616,8 @@ class TestBatchedReconcile:
         # symbols, and its largest intermediate, the float64 scores, takes
         # 8 bytes per symbol. The sim_long_blocks code (n = 12): the
         # encoder's chunk holds at most CHUNK_ELEMENTS float32 counts and
-        # their bool window tests; the words' one-hot belongs to the code
+        # their bool window tests, next to one tile's word one-hot of at
+        # most CHUNK_ELEMENTS / 8 float32 entries
         for n, blocks, decoder in ((8, 1200, "ml"), (12, 40, "typicality")):
             code = bsc_code(n)
             x, y, _ = _blocks(n, blocks, seed=5)
@@ -664,16 +743,6 @@ class TestLeakageEstimate:
         with pytest.raises(ParameterError):
             leakage_estimate([], [], _stream(0))
 
-    def test_shuffles_must_be_positive(self):
-        # zero shuffles used to return NaN null statistics
-        from seqkey.protocol import _stream
-        for bad in (0, -1):
-            with pytest.raises(ParameterError):
-                leakage_estimate([0, 1], [1, 0], _stream(0), shuffles=bad)
-        mi, null_mean, null_sd = leakage_estimate(
-            [0, 1], [1, 0], _stream(0), shuffles=1)
-        assert mi == pytest.approx(1.0) and null_sd == 0.0
-
 
 class TestProtocolParams:
     def test_validation(self):
@@ -685,6 +754,14 @@ class TestProtocolParams:
                     dict(good, decoder="nope")):
             with pytest.raises(ParameterError):
                 ProtocolParams(**bad)
+
+    def test_seed_must_be_non_negative_int(self):
+        # a negative seed used to reach numpy's SeedSequence and raise
+        # ValueError there
+        good = dict(n=8, m=1, k=4, epsilon=0.15, trials=10)
+        for bad in (-1, 1.5, "3"):
+            with pytest.raises(ParameterError, match="seed"):
+                ProtocolParams(seed=bad, **good)
 
 
 class TestRunExperiment:
@@ -766,7 +843,8 @@ class TestRunExperiment:
         assert mets.uniformity_est > 0.5
 
     def test_slack_buys_reliability_with_ml_decoder(self):
-        # rate-slack grid with the typicality parameter held fixed
+        # rate-slack grid with the typicality parameter held fixed: the
+        # code's windows use epsilon, not the slack of the designed rates
         pes = []
         for eps_rate in (0.05, 0.15, 0.25):
             rates = design_rates(J_BSC, TC_ID, epsilon=eps_rate)

@@ -115,17 +115,24 @@ def beta0_solve(p, r1):
     return beta, 1.0 - beta
 
 
-def _optimized(joint, objective, r1):
-    # non-uniform priors have no closed form; defer to the generic optimizer
+def _optimized(joint, points):
+    # non-uniform priors have no closed form: saturated rates take the
+    # unconstrained value, every other (r1, objective) point goes to the
+    # generic optimizer, all in one sweep
+    from seqkey.optimizer import optimize_sweep
+
     hxy = conditional_entropy(joint, "x", "y")
-    if r1 >= hxy:
+    solved = iter(optimize_sweep(joint, [pt for pt in points if pt[0] < hxy]))
+    values = []
+    for r1, objective in points:
+        if r1 < hxy:
+            values.append(next(solved).value)
+            continue
         val = mutual_information(joint, "x", "y")
         if objective == "wsk":
             val -= mutual_information(joint, "x", "z")
-        return max(val, 0.0)
-    from seqkey.optimizer import optimize_oneway
-
-    return optimize_oneway(joint, r1, objective=objective).value
+        values.append(max(val, 0.0))
+    return values
 
 
 def c_rec_bsc(src, r1):
@@ -136,7 +143,7 @@ def c_rec_bsc(src, r1):
     """
     r1 = check_rate(r1)
     if src.prior != 0.5:
-        return _optimized(src.joint(), "rec", r1)
+        return _optimized(src.joint(), [(r1, "rec")])[0]
     pp = min(src.p, 1.0 - src.p)  # relabeling Y maps p to 1-p, capacities agree
     if r1 >= binary_entropy(pp):
         return 1.0 - binary_entropy(pp)
@@ -155,7 +162,7 @@ def c_wsk_bsc(src, r1):
     """
     r1 = check_rate(r1)
     if src.prior != 0.5:
-        return _optimized(src.joint(), "wsk", r1)
+        return _optimized(src.joint(), [(r1, "wsk")])[0]
     pp = min(src.p, 1.0 - src.p)
     qq = min(src.q, 1.0 - src.q)
     if r1 >= binary_entropy(pp):
@@ -176,6 +183,30 @@ def c_wsk_bec(src, epsilon, r1):
     """
     epsilon = check_prob(epsilon, "epsilon")
     return epsilon * c_rec_bsc(src, r1)
+
+
+def capacity_curves(src, rates, erasure=None):
+    """The (c_rec, c_wsk) columns of a capacity curve, as two lists.
+
+    c_rec_bsc at every rate, and c_wsk_bsc or, with ``erasure``,
+    c_wsk_bec(src, erasure, r1), with the values the point-by-point calls
+    give. A non-uniform prior solves every rec point once and every wsk
+    point that needs it in one optimizer sweep.
+    """
+    if erasure is not None:
+        erasure = check_prob(erasure, "epsilon")
+    rates = [check_rate(r1) for r1 in rates]
+    objectives = ("rec",) if erasure is not None else ("rec", "wsk")
+    if src.prior != 0.5:
+        values = _optimized(src.joint(),
+                            [(r1, o) for o in objectives for r1 in rates])
+    else:
+        closed = {"rec": c_rec_bsc, "wsk": c_wsk_bsc}
+        values = [closed[o](src, r1) for o in objectives for r1 in rates]
+    rec, wsk = values[:len(rates)], values[len(rates):]
+    if erasure is not None:
+        wsk = [erasure * value for value in rec]
+    return rec, wsk
 
 
 @dataclass(frozen=True)
@@ -350,7 +381,7 @@ def _scan(src, r1, alphas):
         raise InfeasibleError(
             "the constraint curve is empty in the feasible region")
     a1 = alphas[feasible]
-    a2 = bisect(lambda a2: spent(a1, a2) >= r1, np.zeros_like(a1),
+    a2 = bisect(lambda a2, i: spent(a1[i], a2) >= r1, np.zeros_like(a1),
                 np.full_like(a1, 1.0 - src.p - 1e-13))
     f, g, _ = fgh(a1, a2)
     wsk = np.full(alphas.shape, -math.inf)

@@ -43,9 +43,7 @@ from seqkey.binary import (
     AsymBinarySource,
     BscCascadeSource,
     beta0_solve,
-    c_rec_bsc,
-    c_wsk_bec,
-    c_wsk_bsc,
+    capacity_curves,
     counterexample_solve,
 )
 from seqkey.errors import (
@@ -171,13 +169,10 @@ def cmd_capacity_binary(args):
     bec = args.model == "bec"
     src = BscCascadeSource(args.p, 0.5 if bec else args.q, prior=args.prior)
     grid = parse_grid(args.r1)
-
-    def point(r1):
-        wsk = c_wsk_bec(src, args.erasure, r1) if bec else c_wsk_bsc(src, r1)
-        beta = _beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
-        return (r1, c_rec_bsc(src, r1), wsk, beta)
-
-    rows = [point(r1) for r1 in grid]
+    rec, wsk = capacity_curves(src, grid, args.erasure if bec else None)
+    beta = [_beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
+            for r1 in grid]
+    rows = list(zip(grid, rec, wsk, beta))
     _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
           args.output)
     return 0

@@ -75,23 +75,30 @@ def bisect(below, lo, hi):
     of the last interval.
 
     Array brackets (``lo`` or ``hi`` not 0-d) solve one root per element:
-    every interval is halved at once, ``below`` maps the array of midpoints
-    to a bool array, an element stops as a scalar bracket would, and the
-    loop ends when all have stopped, so each element gets the float the
-    scalar bracket would give. Scalar brackets keep a plain float loop.
+    every interval is halved at once and an element stops as a scalar
+    bracket would, so each element gets the float the scalar bracket would
+    give. ``below(mid, idx)`` is asked about the live elements only: it
+    gets their midpoints and their indices into the flattened bracket, in
+    increasing order, and returns a bool per midpoint. So a predicate that
+    keeps state per element sees each element exactly at the midpoints its
+    scalar bracket would. The loop ends when all have stopped. Scalar
+    brackets keep a plain float loop.
     """
     if np.ndim(lo) or np.ndim(hi):
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                      np.asarray(hi, dtype=float))
+        shape = lo.shape
+        lo, hi = lo.flatten(), hi.flatten()
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            live = (lo < mid) & (mid < hi)
-            if not live.any():
+            live = np.flatnonzero((lo < mid) & (mid < hi))
+            if not len(live):
                 break
-            up = below(mid)
-            lo = np.where(live & up, mid, lo)
-            hi = np.where(live & ~up, mid, hi)
-        return 0.5 * (lo + hi)
+            mid = mid[live]
+            up = np.asarray(below(mid, live), dtype=bool)
+            lo[live[up]] = mid[up]
+            hi[live[~up]] = mid[~up]
+        return (0.5 * (lo + hi)).reshape(shape)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

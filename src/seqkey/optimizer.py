@@ -18,16 +18,27 @@ logits log p(u|x) is the Lagrangian's gradient over p(x), and the full step
 climbs when s D(p'_{ZU}||p_{ZU}) <= (1 + s) D(p'_{YU}||p_{YU}), which data
 processing gives for rec and on degraded sources; elsewhere the wsk map can
 overshoot (swap the U labels back and forth), so steps are damped. The
-identity and ``starts`` Dirichlet(1) channels iterate in lockstep as one
-(B, |X|, |U|) tensor of logits, accelerated by SQUAREM (Varadhan & Roland,
-Scand. J. Stat. 2008). ``measures.bisect`` searches log s over S_BRACKET for
-the point where the best member starts to spend R1, warm-starting each fixed
-point from the last s that spent at least R1 (a collapsed channel never
-leaves the collapse). ConvergenceError is raised when the best member of a
-fixed point still moves after FIXED_POINT_ITERS cycles, or when no s gives a
-channel that spends R1 within RATE_TOL (the bracket misses R1, or the rate
-jumps over it at a transition). Closed-form binary sources bound the
-optimizer's error in the test suite.
+identity and ``starts`` Dirichlet(1) channels are the members of a point;
+they iterate in lockstep as one (B, |X|, |U|) tensor of logits, accelerated
+by SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008). ``measures.bisect``
+searches log s over S_BRACKET for the point where the best member starts to
+spend R1, warm-starting each fixed point from the last s that spent at least
+R1 (a collapsed channel never leaves the collapse). ConvergenceError is
+raised when the best member of a fixed point still moves after
+FIXED_POINT_ITERS cycles, or when no s gives a channel that spends R1 within
+RATE_TOL (the bracket misses R1, or the rate jumps over it at a transition).
+Closed-form binary sources bound the optimizer's error in the test suite.
+
+``optimize_sweep`` solves many (R1, objective) points of one source at once,
+and ``optimize_oneway`` is its one-point case. The points' bisections run in
+lockstep through ``bisect``'s array brackets: a round stacks the members of
+every live point into one tensor, rec points first so that the Z terms of
+the wsk members are one slice, and each member carries its point's s, beta,
+gamma, stopping move and step size. Every operation acts on each member
+alone and each point keeps its own warm start, drop of unsettled members
+and verdict, so a point's result is the one it gets alone, bit for bit.
+The sweep raises ConvergenceError as soon as one of its points fails, and
+the message names that point's R1 and objective.
 
 On non-degraded sources the wsk problem keeps I(X;U|Y) <= R1. The
 Lagrangian's maximizers trace the concave envelope of the (R, V) pairs, so
@@ -39,7 +50,7 @@ that spends less, and never below the useless channel's 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +145,12 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Outcome of one optimize_oneway call (value in ``units``)."""
+    """Outcome of one optimize_oneway point (value in ``units``).
+
+    ``rounds`` counts the Lagrangian fixed points solved for the point and
+    ``cycles`` the SQUAREM cycles its members ran, summed over members and
+    fixed points; zero-rate and saturated answers solve none and report 0.
+    """
 
     value: float
     units: str
@@ -143,6 +159,8 @@ class CapacityResult:
     rate_used: float
     method: str
     status: str
+    rounds: int = field(default=0, compare=False)
+    cycles: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,44 +188,56 @@ def _precompute(j):
 
 
 class _Masses(NamedTuple):
-    """A (B, nx, nu) batch of channels with the masses that the map and
-    the Lagrangian share: p(u), p(u,y) and, for wsk only, p(u,z)."""
+    """A (B, nx, nu) batch of channels, its ``n_rec`` rec members first,
+    with the masses that the map and the Lagrangian share: p(u), p(u,y)
+    and, for the wsk members only, p(u,z)."""
 
     tc: np.ndarray
     p_u: np.ndarray
     p_uy: np.ndarray
     p_uz: np.ndarray | None
+    n_rec: int
 
     def take(self, idx):
-        return _Masses(*(None if a is None else a[idx] for a in self))
+        # idx increases, so the rec members stay first
+        n_rec = int(np.searchsorted(idx, self.n_rec))
+        p_uz = (None if n_rec == len(idx)
+                else self.p_uz[idx[n_rec:] - self.n_rec])
+        return _Masses(self.tc[idx], self.p_u[idx], self.p_uy[idx], p_uz,
+                       n_rec)
 
 
-def _masses(tc, pre, objective):
+def _masses(tc, pre, n_rec):
     p_u = np.einsum("bxu,x->bu", tc, pre.p_x)
     p_uy = np.einsum("bxu,xa->bua", tc, pre.p_xy)
-    p_uz = (np.einsum("bxu,xa->bua", tc, pre.p_xz) if objective == "wsk"
-            else None)
-    return _Masses(tc, p_u, p_uy, p_uz)
+    p_uz = (np.einsum("bxu,xa->bua", tc[n_rec:], pre.p_xz)
+            if n_rec < len(tc) else None)
+    return _Masses(tc, p_u, p_uy, p_uz, n_rec)
 
 
-def _value_rate(m, pre, objective):
+def _value_rate(m, pre):
     """(V, R) per batch member in bits, with one H(U,Y) for both."""
     h_uy = entropy_nats(m.p_uy, (1, 2)) / LN2
     # I(X;U|Y) = H(U,Y) - H(Y) - H(U|X), valid because U depends on X alone
     h_u_x = -(pre.p_x[None, :, None] * xlogx(m.tc)).sum(axis=(1, 2)) / LN2
     rate = h_uy - pre.h_y - h_u_x
-    if objective == "rec":
-        return entropy_nats(m.p_u, 1) / LN2 + pre.h_y - h_uy, rate
-    h_uz = entropy_nats(m.p_uz, (1, 2)) / LN2
-    return (h_uz - pre.h_z) - (h_uy - pre.h_y), rate
+    k = m.n_rec
+    value = []
+    if k:
+        value.append(entropy_nats(m.p_u[:k], 1) / LN2 + pre.h_y - h_uy[:k])
+    if m.p_uz is not None:
+        h_uz = entropy_nats(m.p_uz, (1, 2)) / LN2
+        value.append((h_uz - pre.h_z) - (h_uy[k:] - pre.h_y))
+    return value[0] if len(value) == 1 else np.concatenate(value), rate
 
 
 def _rate_bits(tc, pre):
-    return _value_rate(_masses(tc, pre, "rec"), pre, "rec")[1]
+    return _value_rate(_masses(tc, pre, len(tc)), pre)[1]
 
 
 def _value_bits(tc, pre, objective):
-    return _value_rate(_masses(tc, pre, objective), pre, objective)[0]
+    n_rec = len(tc) if objective == "rec" else 0
+    return _value_rate(_masses(tc, pre, n_rec), pre)[0]
 
 
 def _check_pair(j, tc):
@@ -248,30 +278,67 @@ def _log_mass(a):
     return np.log(np.maximum(a, ZERO_MASS))
 
 
-def _step(m, pre, beta, gamma):
+class _Members(NamedTuple):
+    """Per-member parameters of a batch whose ``n_rec`` rec members come
+    first: the multiplier s, beta = 1 + s, the weight -gamma of the Z term
+    (gamma = s for wsk, 0 for rec), the weight 1 - beta + gamma of log p(u)
+    and the move tol = FIXED_POINT_TOL * beta that stops a member. The
+    factors are repeated to the shapes they multiply, (B, nx, nu) and
+    (B, 1, nu), which numpy multiplies faster than broadcast ones."""
+
+    n_rec: int
+    s: np.ndarray
+    beta: np.ndarray
+    neg_gamma: np.ndarray
+    coef: np.ndarray
+    tol: np.ndarray
+
+    @classmethod
+    def build(cls, s, wsk, sizes, nx, nu):
+        """Members of points with multipliers ``s`` and wsk flags ``wsk``
+        (rec points first), ``sizes`` members each; each point's parameters
+        are Python floats, as for one point alone."""
+        beta = [1.0 + x for x in s]
+        gamma = [x if w else 0.0 for x, w in zip(s, wsk)]
+        s, beta, neg_gamma, coef, tol = np.array([
+            s, beta, [-g for g in gamma],
+            [1.0 - b + g for b, g in zip(beta, gamma)],
+            [FIXED_POINT_TOL * b for b in beta]]).repeat(sizes, axis=1)
+        n_rec = sum(n for n, w in zip(sizes, wsk) if not w)
+        return cls(n_rec, s, beta.repeat(nx * nu).reshape(-1, nx, nu),
+                   neg_gamma.repeat(nx * nu).reshape(-1, nx, nu),
+                   coef.repeat(nu).reshape(-1, 1, nu), tol)
+
+    def take(self, idx):
+        # idx increases, so the rec members stay first
+        return _Members(int(np.searchsorted(idx, self.n_rec)),
+                        *(a[idx] for a in self[1:]))
+
+
+def _step(m, pre, par):
     """One update of the logits log p(u|x) by the module docstring's map,
     from the masses of the current channels: without the KL terms in x
     alone, which the normalization cancels, it is
     (1 - beta + gamma) log p(u) + E[beta log p(u,Y) - gamma log p(u,Z) | x]."""
-    cross = 0.0
-    for weight, p_xa, p_ua in ((beta, pre.p_xy, m.p_uy),
-                               (-gamma, pre.p_xz, m.p_uz)):
-        if weight:
-            cross = cross + weight * np.einsum("xa,bua->bxu", p_xa,
-                                               _log_mass(p_ua))
+    cross = 0.0 + par.beta * np.einsum("xa,bua->bxu", pre.p_xy,
+                                       _log_mass(m.p_uy))
+    if m.p_uz is not None:  # the wsk members, after the rec ones
+        k = m.n_rec
+        cross[k:] += par.neg_gamma[k:] * np.einsum("xa,bua->bxu", pre.p_xz,
+                                                   _log_mass(m.p_uz))
     # symbols x with p(x) = 0 get cross = 0; their rows move no marginal
-    logit = ((1.0 - beta + gamma) * _log_mass(m.p_u)[:, None, :]
+    logit = (par.coef * _log_mass(m.p_u)[:, None, :]
              + cross / np.maximum(pre.p_x, ZERO_MASS)[:, None])
     return np.maximum(_log_softmax(logit), LOG_FLOOR)
 
 
-def _lagrangian(m, pre, objective, s):
+def _lagrangian(m, pre, s):
     """(V - R / s, R) per batch member, in bits."""
-    value, rate = _value_rate(m, pre, objective)
+    value, rate = _value_rate(m, pre)
     return value - rate / s, rate
 
 
-def _fixed_point(theta, pre, objective, s):
+def _fixed_point(theta, pre, par):
     """Stationary logits of V - R / s from ``theta``, per batch member.
 
     A cycle steps theta + eta (map(theta) - theta) twice and extrapolates
@@ -279,123 +346,243 @@ def _fixed_point(theta, pre, objective, s):
     the first step, is kept if its Lagrangian rises by ARMIJO of the first
     step's first-order gain, less LAG_NOISE; else the member stays and its
     eta halves. A member stops once no channel entry of its map moves more
-    than FIXED_POINT_TOL * beta (the logits' rounding error grows with
-    beta). Returns the logits and the mask of the members that stopped;
-    raises if the best member still moves after FIXED_POINT_ITERS cycles.
+    than its ``tol`` (the logits' rounding error grows with beta), or after
+    FIXED_POINT_ITERS cycles. Every operation acts on each member alone, so
+    a member's logits do not depend on the rest of the batch. Returns the
+    logits, the mask of the members still moving, their Lagrangians and
+    rates, and the cycles each member ran.
     """
-    beta, gamma = 1.0 + s, (s if objective == "wsk" else 0.0)
-    tol = FIXED_POINT_TOL * beta
-
-    def masses(t):
-        return _masses(np.exp(t), pre, objective)
-
     theta = theta.copy()
-    here = masses(theta)
-    mapped = _step(here, pre, beta, gamma)
-    lag = _lagrangian(here, pre, objective, s)[0]
+    here = _masses(np.exp(theta), pre, par.n_rec)
+    mapped = _step(here, pre, par)
+    lag, rate = _lagrangian(here, pre, par.s)
     eta = np.ones(len(theta))
     moving = np.ones(len(theta), dtype=bool)
+    ran = np.zeros(len(theta), dtype=int)
+    m = ()
     for _ in range(FIXED_POINT_ITERS):
         moving &= (np.abs(np.exp(mapped) - np.exp(theta)).max(axis=(1, 2))
-                   > tol)
+                   > par.tol)
         if not moving.any():
             break
-        m = np.flatnonzero(moving)
+        ran += moving
+        if len(m) != np.count_nonzero(moving):  # members only ever stop
+            m = np.flatnonzero(moving)
+            pm = par if len(m) == len(moving) else par.take(m)
         t0, d, e = theta[m], mapped[m] - theta[m], eta[m][:, None, None]
         t1 = _log_softmax(t0 + e * d)
-        at_t1 = masses(t1)
-        m1 = _step(at_t1, pre, beta, gamma)
+        at_t1 = _masses(np.exp(t1), pre, pm.n_rec)
+        m1 = _step(at_t1, pre, pm)
         r = t1 - t0
         v = _log_softmax(t1 + e * (m1 - t1)) - 2.0 * t1 + t0
-        ratio = np.linalg.norm(r, axis=(1, 2)) / np.maximum(
-            np.linalg.norm(v, axis=(1, 2)), ZERO_MASS)
-        a = -np.clip(ratio, 1.0, ALPHA_MAX)[:, None, None]
+        # |r| / |v| in Frobenius norms, clipped to [1, ALPHA_MAX]; spelt
+        # out, as np.linalg.norm and np.clip compute it, at less call cost
+        ratio = np.sqrt((r * r).sum(axis=(1, 2))) / np.maximum(
+            np.sqrt((v * v).sum(axis=(1, 2))), ZERO_MASS)
+        a = -np.minimum(np.maximum(ratio, 1.0), ALPHA_MAX)[:, None, None]
         new = _log_softmax(t0 - 2.0 * a * r + a * a * v)
-        at_new = masses(new)
-        new_mapped = _step(at_new, pre, beta, gamma)
-        new_lag = _lagrangian(at_new, pre, objective, s)[0]
+        at_new = _masses(np.exp(new), pre, pm.n_rec)
+        new_mapped = _step(at_new, pre, pm)
+        new_lag, new_rate = _lagrangian(at_new, pre, pm.s)
         # the map's move d is the Lagrangian's gradient over p(x), up to a
         # constant per row, which a row-stochastic change cancels
         rise = (pre.p_x[:, None] * (at_t1.tc - np.exp(t0)) * d).sum(
-            axis=(1, 2)) / (s * LN2)
-        need = lag[m] + ARMIJO * rise - LAG_NOISE * (1.0 + 1.0 / s)
-        back = new_lag < need  # the extrapolation fails: try the first step
-        if back.any():
+            axis=(1, 2)) / (pm.s * LN2)
+        need = lag[m] + ARMIJO * rise - LAG_NOISE * (1.0 + 1.0 / pm.s)
+        # the extrapolation fails: try the first step
+        back = np.flatnonzero(new_lag < need)
+        if len(back):
             new[back], new_mapped[back] = t1[back], m1[back]
-            new_lag[back] = _lagrangian(at_t1.take(back), pre, objective,
-                                        s)[0]
+            new_lag[back], new_rate[back] = _lagrangian(
+                at_t1.take(back), pre, pm.s[back])
         climbs = new_lag >= need
         up = m[climbs]
-        theta[up], mapped[up], lag[up] = (new[climbs], new_mapped[climbs],
-                                          new_lag[climbs])
+        theta[up], mapped[up] = new[climbs], new_mapped[climbs]
+        lag[up], rate[up] = new_lag[climbs], new_rate[climbs]
         eta[m[~climbs]] *= 0.5
-    if moving[np.argmax(lag)]:
-        raise ConvergenceError(
-            f"Lagrangian fixed point at s = {s!r} still moving after "
-            f"{FIXED_POINT_ITERS} SQUAREM cycles")
-    return theta, ~moving
+    return theta, moving, lag, rate, ran
 
 
-def _result(value, channel, residual, rate_used, method):
+def _result(value, channel, residual, rate_used, method, rounds=0,
+            cycles=0):
     return CapacityResult(value=float(value), units=BITS, channel=channel,
                           constraint_residual=float(residual),
                           rate_used=float(rate_used), method=method,
-                          status="converged")
+                          status="converged", rounds=rounds, cycles=cycles)
 
 
-def _solve(j, pre, r1, objective, opts, at_most=False):
-    """Best channel on the surface I(X;U|Y) = r1 or, with ``at_most``,
-    the best channel found that spends no more than r1."""
-    nx = j.dims[0]
-    if abs(r1 - pre.h_xy_cond) <= 1e-12:
-        # saturation: the identity channel is feasible and optimal
-        tc = TestChannel.identity(nx)
-        val = _value_bits(tc.rows[None], pre, objective)[0]
-        resid = _rate_bits(tc.rows[None], pre)[0] - r1
-        return _result(val, tc, resid, r1, "saturated-identity")
+@dataclass(slots=True)
+class _Point:
+    """One (r1, objective) point of a sweep and its bisection's state: the
+    logits of the last s that spent at least r1 (``warm``) and its best
+    channel (``best``), the best channel of the last s that spent less
+    (``below``), and the work so far."""
 
+    r1: float
+    objective: str
+    at_most: bool  # best channel found that spends no more than r1
+    warm: np.ndarray
+    best: np.ndarray | None = None
+    below: np.ndarray | None = None
+    rounds: int = 0
+    cycles: int = 0
+
+
+def _starts(nx, opts):
+    """Logits of the ``opts.starts`` Dirichlet(1) channels and the identity."""
     draws = [np.random.default_rng((opts.seed, b)).gamma(1.0, size=(nx, nx))
              for b in range(opts.starts)]
     starts = np.stack(draws + [np.eye(nx)])
-    # logits of the last s that spent at least r1, and its best channel;
-    # the best channel of the last s that spent less
-    warm = _log_mass(starts / starts.sum(axis=2, keepdims=True))
-    best = below = None
+    return _log_mass(starts / starts.sum(axis=2, keepdims=True))
 
-    def spends_less(log_s):
-        nonlocal warm, best, below
-        s = math.exp(log_s)
-        theta, settled = _fixed_point(warm, pre, objective, s)
-        # members still moving at the cycle cap are not the answer: drop them
-        theta, warm = theta[settled], warm[settled]
-        lag, rate = _lagrangian(_masses(np.exp(theta), pre, objective),
-                                pre, objective, s)
-        i = int(np.argmax(lag))
-        if rate[i] < r1:
-            below = np.exp(theta[i])
-            return True
-        warm, best = theta, np.exp(theta[i])
-        return False
 
-    bisect(spends_less, *np.log(S_BRACKET))
-    method = f"lagrangian-squarem[{opts.starts + 1}]"
-    residual = (math.inf if best is None
-                else _rate_bits(best[None], pre)[0] - r1)
+def _solve(pre, points):
+    """Bisect log s over S_BRACKET for every point at once, rec points
+    first, each from its own warm start (a collapsed channel never leaves
+    the collapse). A round solves one fixed point over the members of all
+    live points; then each point drops its members still moving (they are
+    not the answer) and keeps its best member's channel. Raises when a
+    point's best member still moves after FIXED_POINT_ITERS cycles."""
+
+    def spends_less(log_s, live):
+        pts = [points[i] for i in live]
+        sizes = [len(p.warm) for p in pts]
+        # math.exp, as one point alone: np.exp differs in the last bit
+        s = [math.exp(x) for x in log_s.tolist()]
+        warm = np.concatenate([p.warm for p in pts])
+        theta, moving, lag, rate, ran = _fixed_point(warm, pre, _Members.build(
+            s, [p.objective == "wsk" for p in pts], sizes, *warm.shape[1:]))
+        kept, a = [], 0
+        for p, s_p, n in zip(pts, s, sizes):
+            b = a + n
+            if moving[a + lag[a:b].argmax()]:
+                raise ConvergenceError(
+                    f"{p.objective} at r1 = {p.r1!r}: Lagrangian fixed "
+                    f"point at s = {s_p!r} still moving after "
+                    f"{FIXED_POINT_ITERS} SQUAREM cycles")
+            p.rounds, p.cycles = p.rounds + 1, p.cycles + int(ran[a:b].sum())
+            kept.append(n - int(moving[a:b].sum()))
+            a = b
+        keep = np.flatnonzero(~moving)
+        theta, warm, lag, rate = theta[keep], warm[keep], lag[keep], rate[keep]
+        spent_less, a = np.empty(len(pts), dtype=bool), 0
+        for n, (p, size) in enumerate(zip(pts, kept)):
+            b = a + size
+            i = a + int(lag[a:b].argmax())
+            spent_less[n] = rate[i] < p.r1
+            if spent_less[n]:
+                p.below, p.warm = np.exp(theta[i]), warm[a:b]
+            else:
+                p.best, p.warm = np.exp(theta[i]), theta[a:b]
+            a = b
+        return spent_less
+
+    lo, hi = np.log(S_BRACKET)
+    bisect(spends_less, np.full(len(points), lo), np.full(len(points), hi))
+
+
+def _answer(pre, p, method):
+    """A solved point's result: the best channel of the last s that spent
+    r1 within RATE_TOL or, with ``at_most``, the best channel below r1."""
+    work = dict(rounds=p.rounds, cycles=p.cycles)
+    residual = (math.inf if p.best is None
+                else _rate_bits(p.best[None], pre)[0] - p.r1)
     if abs(residual) <= RATE_TOL:
-        return _result(_value_bits(best[None], pre, objective)[0],
-                       TestChannel(best), residual, r1, method)
-    if at_most and below is not None:
+        return _result(_value_bits(p.best[None], pre, p.objective)[0],
+                       TestChannel(p.best), residual, p.r1, method, **work)
+    if p.at_most and p.below is not None:
         # the channel sits on its own surface, below the budget
-        return _result(_value_bits(below[None], pre, objective)[0],
-                       TestChannel(below), 0.0,
-                       _rate_bits(below[None], pre)[0], method)
+        return _result(_value_bits(p.below[None], pre, p.objective)[0],
+                       TestChannel(p.below), 0.0,
+                       _rate_bits(p.below[None], pre)[0], method, **work)
     raise ConvergenceError(
-        f"no multiplier s in {S_BRACKET} spends the rate {r1!r} within "
-        f"{RATE_TOL}; the closest spends {r1 + residual!r}")
+        f"{p.objective} at r1 = {p.r1!r}: no multiplier s in {S_BRACKET} "
+        f"spends the rate {p.r1!r} within {RATE_TOL}; the closest spends "
+        f"{p.r1 + residual!r}")
+
+
+def optimize_sweep(j, points, opts=None):
+    """optimize_oneway at every (r1, objective) pair of ``points``, solved
+    together.
+
+    The pairs share the source and ``opts``; each gets the result that
+    optimize_oneway gives it alone, bit for bit, with its own ``rounds``
+    and ``cycles``. Zero-rate and saturated points take their direct
+    answers; the others bisect in lockstep (see the module docstring).
+
+    Returns
+    -------
+    list of CapacityResult
+        One per pair, in the order of ``points``.
+
+    Raises
+    ------
+    ParameterError
+        A pair has an unknown objective or a rate outside [0, H(X|Y)].
+    ConvergenceError
+        Some point does not converge; the message names its r1 and
+        objective.
+    """
+    points = list(points)
+    for _, objective in points:
+        if objective not in _OBJECTIVES:
+            raise ParameterError(f"objective must be one of {_OBJECTIVES}, "
+                                 f"got {objective!r}")
+    if not isinstance(j, DiscreteJoint):
+        j = DiscreteJoint(j)
+    opts = opts or OptimizerOptions()
+    pre = _precompute(j)
+    nx = j.dims[0]
+    # equality in the constraint is only proved for degraded sources; on
+    # the others a wsk answer spends at most r1 and is never below the
+    # useless channel's 0
+    wsk_at_most = any(o == "wsk" for _, o in points) and not j.is_degraded()
+    results = [None] * len(points)
+    solving = []
+    for n, (r1, objective) in enumerate(points):
+        r1 = check_rate(r1)
+        if r1 > pre.h_xy_cond + 1e-12:
+            raise ParameterError(
+                f"rate {r1!r} exceeds H(X|Y) = {pre.h_xy_cond!r}; the "
+                "equality surface is empty (use the saturated closed form "
+                "instead)")
+        r1 = min(r1, pre.h_xy_cond)
+        if r1 == 0.0:
+            # only channels independent of X are feasible; every objective
+            # is 0
+            results[n] = _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
+                                 "degenerate-zero-rate")
+        elif abs(r1 - pre.h_xy_cond) <= 1e-12:
+            # saturation: the identity channel is feasible and optimal
+            tc = TestChannel.identity(nx)
+            results[n] = _result(
+                _value_bits(tc.rows[None], pre, objective)[0], tc,
+                _rate_bits(tc.rows[None], pre)[0] - r1, r1,
+                "saturated-identity")
+        else:
+            solving.append((n, r1, objective))
+    if solving:
+        warm = _starts(nx, opts)
+        solving = [(n, _Point(r1, objective,
+                              objective == "wsk" and wsk_at_most, warm))
+                   for n, r1, objective in solving]
+        _solve(pre, [p for _, p in sorted(
+            solving, key=lambda t: t[1].objective != "rec")])
+        method = f"lagrangian-squarem[{opts.starts + 1}]"
+        for n, p in solving:
+            results[n] = _answer(pre, p, method)
+    for n, (_, objective) in enumerate(points):
+        res = results[n]
+        if objective == "wsk" and wsk_at_most and res.value < 0.0:
+            results[n] = _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
+                                 "useless", res.rounds, res.cycles)
+    return results
 
 
 def optimize_oneway(j, r1, objective="wsk", opts=None):
     """Maximize a capacity objective on the surface I(X;U|Y) = r1.
+
+    The one-point case of optimize_sweep.
 
     Parameters
     ----------
@@ -412,8 +599,9 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
     CapacityResult
         Best value (bits), the maximizing channel, the achieved constraint
         residual I(X;U|Y) - r1 (``rate_used`` and 0 for a non-degraded wsk
-        channel that spends less), and ``status`` "converged" (always: a
-        solve that misses its tolerances raises instead).
+        channel that spends less), ``status`` "converged" (always: a
+        solve that misses its tolerances raises instead), and the work
+        done in ``rounds`` and ``cycles``.
 
     Raises
     ------
@@ -423,32 +611,7 @@ def optimize_oneway(j, r1, objective="wsk", opts=None):
         channel that spends r1 within RATE_TOL (nor, for non-degraded wsk,
         less than r1).
     """
-    if objective not in _OBJECTIVES:
-        raise ParameterError(f"objective must be one of {_OBJECTIVES}, "
-                             f"got {objective!r}")
-    if not isinstance(j, DiscreteJoint):
-        j = DiscreteJoint(j)
-    opts = opts or OptimizerOptions()
-    r1 = check_rate(r1)
-    pre = _precompute(j)
-    if r1 > pre.h_xy_cond + 1e-12:
-        raise ParameterError(
-            f"rate {r1!r} exceeds H(X|Y) = {pre.h_xy_cond!r}; the equality "
-            "surface is empty (use the saturated closed form instead)")
-    r1 = min(r1, pre.h_xy_cond)
-    nx = j.dims[0]
-    if r1 == 0.0:
-        # only channels independent of X are feasible; every objective is 0
-        return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
-                       "degenerate-zero-rate")
-    if objective == "wsk" and not j.is_degraded():
-        # equality in the constraint is only proved for degraded sources
-        best = _solve(j, pre, r1, objective, opts, at_most=True)
-        if best.value < 0.0:
-            return _result(0.0, TestChannel.uniform(nx), 0.0, 0.0,
-                           "useless")
-        return best
-    return _solve(j, pre, r1, objective, opts)
+    return optimize_sweep(j, [(r1, objective)], opts)[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from seqkey.cli import (
     read_curve,
     read_records,
 )
+from seqkey import optimizer
 from seqkey.errors import ParameterError
 from seqkey.measures import gaussian_mi
 
@@ -198,6 +199,35 @@ class TestCapacityCurves:
         _, rows = read_curve(out)
         for _, rec, wsk, _ in rows:
             assert wsk == pytest.approx(0.3 * rec, abs=1e-15)
+
+    @pytest.mark.parametrize("model", [["bsc", "--q", "0.2"],
+                                       ["bec", "--erasure", "0.3"]])
+    def test_prior_sweep_is_one_solve_per_point(self, model, tmp_path,
+                                                monkeypatch):
+        # every optimizer point goes into one sweep; bec's wsk column is
+        # erasure * c_rec, so it solves only the rec points
+        calls = []
+        sweep = optimizer.optimize_sweep
+
+        def recording(j, points, opts=None):
+            calls.append(list(points))
+            return sweep(j, points, opts)
+
+        monkeypatch.setattr(optimizer, "optimize_sweep", recording)
+        out = str(tmp_path / "c.csv")
+        assert main(["capacity", model[0], "--p", "0.1", *model[1:],
+                     "--prior", "0.3", "--r1", "linear:0.3:0.4:2",
+                     "-o", out]) == 0
+        objectives = ("rec", "wsk") if model[0] == "bsc" else ("rec",)
+        assert calls == [[(r1, o) for o in objectives for r1 in (0.3, 0.4)]]
+        _, rows = read_curve(out)
+        src = BscCascadeSource(0.1, 0.2 if model[0] == "bsc" else 0.5,
+                               prior=0.3)
+        for r1, rec, wsk, beta in rows:
+            assert rec == c_rec_bsc(src, r1)
+            assert wsk == (c_wsk_bsc(src, r1) if model[0] == "bsc"
+                           else 0.3 * rec)
+            assert math.isnan(beta)
 
     def test_gauss_columns_and_zero_rate(self, tmp_path):
         out = str(tmp_path / "g.csv")

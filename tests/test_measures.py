@@ -386,15 +386,42 @@ def test_bisect_array_brackets_match_scalar_brackets():
                    math.sqrt(2.0) - 4e-16])
     hi = np.array([2.0, 2.0, 2.0, 1.7, 1.2, 1.0, 1.6,
                    math.sqrt(2.0) + 4e-16])
-    got = bisect(lambda x: x * x < c, lo, hi)
+    got = bisect(lambda x, i: x * x < c[i], lo, hi)
     want = [bisect(lambda x, ci=ci: x * x < ci, a, b)
             for ci, a, b in zip(c.tolist(), lo.tolist(), hi.tolist())]
     assert got.shape == c.shape
     assert got.tolist() == want
     # a scalar end broadcasts against an array end
-    got = bisect(lambda x: x * x < c[:3], 0.0, hi[:3])
+    got = bisect(lambda x, i: x * x < c[i], 0.0, hi[:3])
     assert got.tolist() == [bisect(lambda x, ci=ci: x * x < ci, 0.0, b)
                             for ci, b in zip(c[:3].tolist(), hi[:3].tolist())]
+
+
+def test_bisect_asks_only_about_live_elements():
+    # a predicate with state per element must see each element at the
+    # midpoints its scalar bracket would, and never once it has stopped
+    c = np.array([[2.0, 0.0], [3.0, 2.0]])
+    lo = np.array([[1.0, 0.0], [1.7, 1.0]])
+    hi = np.array([[2.0, 1.0], [1.2, 1.0]])
+    seen = [[] for _ in range(c.size)]
+
+    def below(mid, idx):
+        assert np.all(np.diff(idx) > 0)
+        for x, i in zip(mid.tolist(), idx.tolist()):
+            seen[i].append(x)
+        return mid * mid < c.flat[idx]
+
+    got = bisect(below, lo, hi)
+    assert got.shape == c.shape
+    for i, (ci, a, b) in enumerate(zip(c.flat, lo.flat, hi.flat)):
+        calls = []
+        want = bisect(lambda x: calls.append(x) or x * x < ci, a, b)
+        assert got.flat[i] == want
+        assert seen[i] == calls
+    # the root at 0 runs 200 halvings; the empty and the reversed
+    # brackets are never asked about
+    assert len(seen[1]) == 200
+    assert seen[2] == seen[3] == []
 
 
 def _entropy_oracles(a, axis):

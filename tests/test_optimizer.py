@@ -29,10 +29,12 @@ from seqkey.optimizer import (
     objective_twoway,
     objective_wsk,
     optimize_oneway,
+    optimize_sweep,
     rate_constraint,
 )
 from seqkey import optimizer
 from multistart_oracle import multistart_value
+from oneway_oracle import oracle_oneway
 
 SRC = BscCascadeSource(0.1, 0.2)
 JOINT = SRC.joint()
@@ -158,11 +160,13 @@ class TestOptimizeOneway:
         assert res.value == pytest.approx(
             mutual_information(JOINT, "x", "y"), abs=1e-12)
         assert np.array_equal(res.channel.rows, np.eye(2))
+        assert res.rounds == res.cycles == 0
 
     def test_zero_rate_is_zero_value(self):
         res = optimize_oneway(JOINT, 0.0, opts=FAST)
         assert res.value == 0.0
         assert res.status == "converged"
+        assert res.rounds == res.cycles == 0
 
     def test_rate_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -221,6 +225,88 @@ class TestOptimizeOneway:
         assert abs(res.constraint_residual) <= 1e-6
 
 
+class TestSweep:
+    # every point of a sweep must get the one-point solver's result, bit
+    # for bit and with the same work, whatever else the sweep holds
+
+    @staticmethod
+    def assert_matches_oracle(j, points, opts=None):
+        got = optimize_sweep(j, points, opts)
+        assert len(got) == len(points)
+        for res, (r1, objective) in zip(got, points):
+            assert repr(res) == repr(oracle_oneway(j, r1, objective, opts))
+        return got
+
+    def test_nonuniform_prior_grid(self):
+        j = BscCascadeSource(0.1, 0.2, prior=0.3).joint()
+        grid = np.linspace(0.1, 0.4, 4)
+        got = self.assert_matches_oracle(
+            j, [(r1, o) for o in ("wsk", "rec") for r1 in grid])
+        assert all(res.rounds > 0 and res.cycles > 0 for res in got)
+
+    def test_blind_eavesdropper_grid(self):
+        # the source of capacity bec --prior, whose wsk column scales rec
+        j = BscCascadeSource(0.1, 0.5, prior=0.3).joint()
+        self.assert_matches_oracle(j, [(r1, "rec") for r1 in (0.1, 0.3)])
+
+    def test_degraded_cascade(self):
+        j = random_cascade(1, (3, 3, 2))
+        h = conditional_entropy(j, "x", "y")
+        self.assert_matches_oracle(
+            j, [(f * h, o) for o in ("rec", "wsk") for f in (0.2, 0.5)], FAST)
+
+    @pytest.mark.parametrize("seed, method", [
+        (1, "lagrangian-squarem[3]"),  # a channel below the budget
+        (6, "useless"),
+    ])
+    def test_nondegraded_wsk_answers(self, seed, method):
+        j = random_joint(seed)
+        h = conditional_entropy(j, "x", "y")
+        got = self.assert_matches_oracle(j, [(0.2 * h, "wsk"),
+                                             (0.5 * h, "rec")],
+                                         OptimizerOptions(starts=2))
+        assert got[0].method == method
+        assert got[0].rate_used < 0.2 * h
+
+    def test_saturated_zero_rate_and_duplicate_points(self):
+        j = BscCascadeSource(0.1, 0.2, prior=0.3).joint()
+        h = conditional_entropy(j, "x", "y")
+        points = [(0.3, "wsk"), (0.0, "rec"), (h, "wsk"), (0.3, "wsk"),
+                  (0.3, "rec"), (h - 1e-13, "rec"), (0.0, "wsk")]
+        got = self.assert_matches_oracle(j, points)
+        assert [res.method for res in got[1:3]] == [
+            "degenerate-zero-rate", "saturated-identity"]
+        assert all(res.rounds == res.cycles == 0 for res in got[1:3])
+        assert got[0].rounds == got[3].rounds > 0
+
+    def test_saturated_nondegraded_wsk_is_useless(self):
+        # Z sees X better than Y does: the identity channel's key rate is
+        # negative, so the answer at H(X|Y) is the useless channel
+        bsc = lambda t: np.array([[1.0 - t, t], [t, 1.0 - t]])
+        j = DiscreteJoint(0.5 * np.einsum("xy,xz->xyz", bsc(0.3), bsc(0.01)))
+        h = conditional_entropy(j, "x", "y")
+        got = self.assert_matches_oracle(j, [(h, "wsk"), (h, "rec")])
+        assert [res.method for res in got] == ["useless",
+                                               "saturated-identity"]
+
+    def test_empty_sweep(self):
+        assert optimize_sweep(JOINT, []) == []
+
+    def test_rejects_bad_points(self):
+        with pytest.raises(ParameterError):
+            optimize_sweep(JOINT, [(0.3, "rec"), (0.3, "sk")])
+        with pytest.raises(ParameterError):
+            optimize_sweep(JOINT, [(0.3, "rec"), (H_XY + 1e-3, "wsk")])
+
+    def test_failing_point_is_named(self, monkeypatch):
+        # every multiplier below the first transition leaves U useless
+        monkeypatch.setattr(optimizer, "S_BRACKET", (1e-3, 1e-2))
+        with pytest.raises(ConvergenceError,
+                           match=r"^wsk at r1 = 0\.3: no multiplier"):
+            optimize_sweep(JOINT, [(0.0, "rec"), (0.3, "wsk"),
+                                   (0.2, "rec")], FAST)
+
+
 class TestCounterexampleCrossCheck:
     # the counterexample solver traces the constraint curve of the
     # reference asymmetric source by bisection and golden-section search,
@@ -253,8 +339,13 @@ class TestAgainstMultistartOracle:
     def test_nondegraded_surfaces(self, frac):
         j = nondegraded_tap()
         r1 = frac * conditional_entropy(j, "x", "y")
-        res = optimizer._solve(j, optimizer._precompute(j), r1, "wsk",
-                               OptimizerOptions())
+        # the surface I(X;U|Y) = r1 itself, which optimize_oneway does not
+        # ask for on a non-degraded source
+        pre = optimizer._precompute(j)
+        point = optimizer._Point(r1, "wsk", False,
+                                 optimizer._starts(2, OptimizerOptions()))
+        optimizer._solve(pre, [point])
+        res = optimizer._answer(pre, point, "lagrangian-squarem[33]")
         assert abs(res.constraint_residual) <= 1e-9
         assert res.value >= multistart_value(j, r1, "wsk") - 1e-9
 
@@ -283,9 +374,10 @@ class TestHardSources:
         # its first-order gain to be kept
         j = random_joint(1, (2, 2, 2))
         theta = optimizer._log_mass(np.eye(2))[None]
-        _, settled = optimizer._fixed_point(theta, optimizer._precompute(j),
-                                            "wsk", 1000.0)
-        assert settled.all()
+        par = optimizer._Members.build([1000.0], [True], [1], 2, 2)
+        _, moving, *_ = optimizer._fixed_point(
+            theta, optimizer._precompute(j), par)
+        assert not moving.any()
 
     def test_slow_member_that_is_not_the_answer_is_dropped(self):
         # at s = 10.46 one restart's U column dies too slowly to settle

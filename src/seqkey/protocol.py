@@ -20,14 +20,15 @@ float comparison would.
 
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
 are batch axes; one block is a batch of one. A stage scores each block's
-candidate words over the last axis, CHUNK_ELEMENTS candidate symbols (the
-encoder: joint counts with one tile of words) at a time, so its
-intermediates stay small for any number of blocks, and ML scores are
-summed over that contiguous axis as for a single block. With a V layer,
-each call draws the codebook of each distinct (omega, nu) bin once, for
-every block in that bin, and holds those codebooks (one byte per symbol)
-until it returns. Two consequences at n <= 14 are worth knowing before
-reading any numbers:
+candidate words over the last axis, CHUNK_ELEMENTS / 2 candidate symbols
+(the encoder: CHUNK_ELEMENTS joint counts with one tile of words) at a
+time, one block's candidates in tiles when they are more, so its
+intermediates stay small for any number of blocks or candidates, and ML
+scores are summed over that contiguous axis as for a single block. With a
+V layer, each call draws the codebook of each distinct (omega, nu) bin
+once, for every block in that bin, and holds those codebooks (one byte per
+symbol) until it returns. Two consequences at n <= 14 are worth knowing
+before reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -40,6 +41,15 @@ reading any numbers:
   running Bob's procedure on z. The plug-in MI estimate carries a bias
   that is measured by shuffling the key column against the views; both
   numbers are reported.
+
+run_experiment draws trial t's source uniforms from the Philox stream
+keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
+spawn key (3, t). The keys of every trial come from one array pass of
+SeedSequence's uint32 hash mix (_philox_keys), and one reused Philox is
+set to each key with counter 0, so every draw equals that of a fresh
+generator per trial. The leakage estimate and its 32 shuffles are one
+array pass that adds each plug-in sum's terms in the order, and with the
+log2, of a dict loop over the pairs (leakage_estimate).
 
 Discrete-side conventions: rates and information quantities in bits.
 """
@@ -63,12 +73,87 @@ MAX_V_CODEWORDS = 1 << 16  # per-bin V codebook budget
 CHUNK_ELEMENTS = 1 << 16   # candidate symbols one pick holds at once
 SHUFFLE_ROUNDS = 32
 _COUNT_FUZZ = 1e-9         # absorbs float error at integer window edges
+# numpy's SeedSequence constants: pool size, hashmix and mix multipliers
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def _stream(seed, *ids):
     """Counter-based generator keyed by (seed, stream path)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(ids))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of uint32 arrays; returns (value, next
+    const), the multiplier const advanced as numpy advances it."""
+    value = value ^ np.uint32(const)
+    const = const * _MULT_A & _MASK32
+    value = value * np.uint32(const)
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's pool mix of uint32 arrays."""
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ out >> 16
+
+
+def _philox_keys(seed, stream, trials):
+    """(trials, 2) uint64 Philox keys of _stream(seed, stream, t) for
+    t = 0..trials-1: SeedSequence(seed, spawn_key=(stream, t))
+    .generate_state(2, uint64), by numpy's documented uint32 hash mix.
+
+    The entropy is the seed's 32-bit words, little end first, zero-padded
+    to the pool of 4, then the spawn key. Each word is a uint32 array; the
+    trial index, mixed in last, is the only one of length trials, so only
+    its mixing is done per trial.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words)) + [stream]
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    const = _INIT_B
+    state = []
+    for word in pool:  # generate_state: 4 uint32 words, 2 uint64
+        word = word ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word = word * np.uint32(const)
+        state.append(word ^ word >> 16)
+    state = np.stack(state, axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _trial_streams(seed, stream, trials):
+    """One generator, yielded once per trial t = 0..trials-1 in the state
+    of a fresh _stream(seed, stream, t): that trial's key, counter 0 and
+    no buffered output (integers draws use buffered 32-bit halves)."""
+    bit_gen = np.random.Philox(key=0)
+    state = bit_gen.state
+    rng = np.random.Generator(bit_gen)
+    for key in _philox_keys(seed, stream, trials):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        yield rng
 
 
 def _draw_symbols(rng, pmf, shape):
@@ -187,25 +272,40 @@ def _pick(base, table, start, width, pmf, ll, eps, decoder):
     index both pmf and ll; start broadcasts against the leading axes.
     Typicality: the lowest row typical for pmf (_typical_mask), or
     (0, False) when none is. ML: the lowest row with the largest
-    log-likelihood sum under ll. Blocks are taken CHUNK_ELEMENTS candidate
-    symbols at a time.
+    log-likelihood sum under ll. A chunk holds at most CHUNK_ELEMENTS / 2
+    candidate symbols, so its float64 scores and their integer cells stay
+    within 8 CHUNK_ELEMENTS bytes: several blocks whole, or one block's
+    candidates in tiles, in order. Across tiles ML keeps a block's best
+    row, replaced only by a strictly larger score, and typicality stops
+    at the first tile holding a typical word.
     """
     lead, n = base.shape[:-1], base.shape[-1]
     base = base.reshape(-1, 1, n)
     start = np.broadcast_to(start, lead).reshape(-1, 1)
-    offsets = np.arange(width)
     row = np.zeros(len(base), dtype=np.intp)
-    found = np.ones(len(base), dtype=bool)
-    step = max(1, CHUNK_ELEMENTS // (width * n))
+    found = np.full(len(base), decoder == "ml")
+    best = np.full(len(base), -np.inf)
+    tile = max(1, min(width, CHUNK_ELEMENTS // (2 * n)))
+    step = max(1, CHUNK_ELEMENTS // (2 * tile * n))
     for lo in range(0, len(base), step):
         blocks = slice(lo, lo + step)
-        codes = base[blocks] + table[start[blocks] + offsets]
-        if decoder == "ml":
-            row[blocks] = np.argmax(ll.ravel()[codes].sum(axis=-1), axis=-1)
-        else:
-            mask = _typical_mask(codes, pmf, eps)
-            found[blocks] = mask.any(axis=-1)
-            row[blocks] = np.argmax(mask, axis=-1)
+        for first in range(0, width, tile):
+            offsets = np.arange(first, min(first + tile, width))
+            codes = base[blocks] + table[start[blocks] + offsets]
+            if decoder == "ml":
+                scores = ll.ravel()[codes].sum(axis=-1)
+                arg = np.argmax(scores, axis=-1)
+                top = np.take_along_axis(scores, arg[:, None], -1)[:, 0]
+                better = top > best[blocks]
+                best[blocks][better] = top[better]
+                row[blocks][better] = first + arg[better]
+            else:
+                mask = _typical_mask(codes, pmf, eps)
+                hit = mask.any(axis=-1) & ~found[blocks]
+                row[blocks][hit] = first + np.argmax(mask[hit], axis=-1)
+                found[blocks] |= hit
+                if found[blocks].all():
+                    break
     return row.reshape(lead), found.reshape(lead)
 
 
@@ -551,18 +651,22 @@ def reconcile(x, y, code, decoder="typicality"):
         alice_found=alice_found, bob_found=bob_found)
 
 
+def _source_symbols(j, draws):
+    """(x, y, z) uint8 symbols, each shaped like the uniforms `draws`: a
+    uniform counts against the joint's cumulative masses in flat order."""
+    cum = np.cumsum(j.masses.ravel())
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, draws, side="right")
+    return tuple(a.astype(np.uint8) for a in np.unravel_index(idx, j.dims))
+
+
 def sample_source(j, n, seed):
     """n i.i.d. draws from the joint; returns (x^n, y^n, z^n)."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"sample count must be a positive int, got "
                              f"{n!r}")
     rng = seed if isinstance(seed, np.random.Generator) else _stream(seed)
-    flat = j.masses.ravel()
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    x, y, z = np.unravel_index(idx, j.dims)
-    return x.astype(np.uint8), y.astype(np.uint8), z.astype(np.uint8)
+    return _source_symbols(j, rng.random(n))
 
 
 def _pack_bits(bits):
@@ -662,19 +766,12 @@ class RunMetrics:
     eve_match_rate: float  # fraction of trials where Eve's key guess hit
 
 
-def _plugin_mi_bits(pairs, trials):
-    joint = {}
-    left = {}
-    right = {}
-    for a, b in pairs:
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-        left[a] = left.get(a, 0) + 1
-        right[b] = right.get(b, 0) + 1
-    mi = 0.0
-    for (a, b), c in joint.items():
-        mi += (c / trials) * math.log2(
-            c * trials / (left[a] * right[b]))
-    return mi
+def _codes(items):
+    """Integer code of each hashable item, in order of first appearance,
+    and the number of distinct items."""
+    index = {}
+    return (np.array([index.setdefault(item, len(index)) for item in items]),
+            len(index))
 
 
 def leakage_estimate(keys, views, rng):
@@ -684,19 +781,58 @@ def leakage_estimate(keys, views, rng):
     against the views SHUFFLE_ROUNDS times, which measures the estimator's
     finite-sample bias on exactly this view layout; mi landing inside the
     null band means no detectable leakage.
+
+    The observed pairing and every shuffle are one array pass. Each is
+    the sum, from 0.0 and in order of each (key, view) pair's first
+    appearance, of (c/T) log2(c T / (left right)) over its distinct pairs
+    of count c, with left and right the key's and the view's counts: a
+    cumsum along the row, since np.sum adds pairwise. log2 is math.log2,
+    taken once per distinct ratio; np.log2 can differ in the last bit.
     """
     trials = len(keys)
     if trials != len(views) or trials == 0:
         raise ParameterError("keys and views must be equal-length and "
                              "non-empty")
-    mi = _plugin_mi_bits(list(zip(keys, views)), trials)
-    nulls = []
-    for _ in range(SHUFFLE_ROUNDS):
-        perm = rng.permutation(trials)
-        nulls.append(_plugin_mi_bits(
-            [(keys[p], views[i]) for i, p in enumerate(perm)], trials))
-    nulls = np.asarray(nulls)
-    return mi, float(nulls.mean()), float(nulls.std())
+    key_code, n_keys = _codes(keys)
+    view_code, n_views = _codes(views)
+    shuffles = [rng.permutation(trials) for _ in range(SHUFFLE_ROUNDS)]
+    # row 0 pairs the keys as given, row r > 0 by shuffle r; pair ids are
+    # distinct across rows
+    rows = np.vstack([key_code, key_code[shuffles]])
+    pairs = (np.arange(len(rows))[:, None] * n_keys + rows) * n_views \
+        + view_code
+    ids, first, count = np.unique(pairs.ravel(), return_index=True,
+                                  return_counts=True)
+    order = np.argsort(first)  # row by row, each by first appearance
+    ids, first, count = ids[order], first[order], count[order]
+    left = np.bincount(key_code)[ids // n_views % n_keys]
+    right = np.bincount(view_code)[ids % n_views]
+    ratio, to_ratio = np.unique(count * trials / (left * right),
+                                return_inverse=True)
+    log2 = np.array([math.log2(r) for r in ratio.tolist()])[to_ratio]
+    row = first // trials
+    starts = np.searchsorted(row, np.arange(len(rows)))
+    terms = np.zeros((len(rows), np.bincount(row).max()))
+    terms[row, np.arange(len(row)) - starts[row]] = (count / trials) * log2
+    sums = terms.cumsum(axis=1)[:, -1]
+    nulls = sums[1:]
+    return float(sums[0]), float(nulls.mean()), float(nulls.std())
+
+
+def _trial_draws(j, params, n_bits):
+    """(x, y, z, hash_seeds) of every trial: x, y and z are (trials, m, n)
+    symbols, hash_seeds (trials, n_bits) bits. Trial t draws its n m
+    source uniforms from _stream(seed, 1, t) and its hash seed from
+    _stream(seed, 3, t), one reused generator set to each stream's key."""
+    trials, shape = params.trials, (params.trials, params.m, params.n)
+    draws = np.empty((trials, params.m * params.n))
+    for t, rng in enumerate(_trial_streams(params.seed, 1, trials)):
+        rng.random(out=draws[t])
+    hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
+    for t, rng in enumerate(_trial_streams(params.seed, 3, trials)):
+        hash_seeds[t] = rng.integers(0, 2, n_bits)
+    x, y, z = (a.reshape(shape) for a in _source_symbols(j, draws))
+    return x, y, z, hash_seeds
 
 
 def run_experiment(j, tc_u, params, v_given_yu=None):
@@ -725,14 +861,7 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
             f"key length {params.k} exceeds the {n_bits}-bit hash input")
 
     trials, m, n = params.trials, params.m, params.n
-    # source symbols by party (X, Y, Z), trial, block
-    xyz = np.empty((3, trials, m, n), dtype=np.uint8)
-    hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
-    for t in range(trials):
-        xyz[:, t] = np.reshape(sample_source(
-            j, n * m, _stream(params.seed, 1, t)), (3, m, n))
-        hash_seeds[t] = _stream(params.seed, 3, t).integers(0, 2, n_bits)
-    x, y, z = xyz
+    x, y, z, hash_seeds = _trial_draws(j, params, n_bits)
     res = reconcile(x, y, code, params.decoder)
     e_u, _, _, e_v, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
     # symbols by trial, party (Alice, Bob, Eve), block, layer (U, V)

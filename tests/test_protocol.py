@@ -17,6 +17,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import leakage_oracle
 import reconcile_oracle as oracle
 from seqkey import protocol
 from seqkey.binary import BscCascadeSource
@@ -36,7 +37,9 @@ from seqkey.protocol import (
     _distinct_rows,
     _draw_symbols,
     _encode_alice,
+    _philox_keys,
     _stream,
+    _trial_draws,
     design_rates,
     leakage_estimate,
     privacy_amplify,
@@ -52,6 +55,14 @@ TC_ID = TestChannel.identity(2)
 def bsc_code(n, epsilon=0.15, seed=0, rates=None):
     return ReconCode.generate(J_BSC, TC_ID, n=n, epsilon=epsilon,
                               seed=seed, rates=rates)
+
+
+def under_rate_code():
+    """n = 10 with R_u below I(X;U|Y): 2 bins of w_nu = 11,586 words."""
+    base = design_rates(J_BSC, TC_ID, epsilon=0.15)
+    low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
+                r_v=0.0, r_v_prime=0.0)
+    return bsc_code(10, seed=5, rates=low)
 
 
 def _drawn_v_codebook(code, omega, nu_idx):
@@ -273,6 +284,72 @@ class TestSampleSource:
             sample_source(J_BSC, 0, seed=1)
 
 
+def _looped_draws(j, params, n_bits):
+    """Reference trial draws: a fresh _stream per trial and stream id, as
+    run_experiment drew them before its streams were batched."""
+    trials, m, n = params.trials, params.m, params.n
+    xyz = np.empty((3, trials, m, n), dtype=np.uint8)
+    hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
+    for t in range(trials):
+        xyz[:, t] = np.reshape(sample_source(
+            j, n * m, _stream(params.seed, 1, t)), (3, m, n))
+        hash_seeds[t] = _stream(params.seed, 3, t).integers(0, 2, n_bits)
+    x, y, z = xyz
+    return x, y, z, hash_seeds
+
+
+# (q, n, m, k, decoder, seed, trials, V layer), run against the loop
+LOOP_CONFIGS = {
+    "short_ml": (0.5, 8, 8, 4, "ml", 20260816, 150, False),
+    "short_typicality": (0.5, 8, 8, 4, "typicality", 7, 150, False),
+    "short_ml_big_seed": (0.5, 8, 8, 4, "ml", 2 ** 64 + 3, 150, False),
+    "long_typicality": (0.5, 12, 4, 2, "typicality", 20260816, 10, False),
+    "long_ml_q03": (0.3, 12, 4, 2, "ml", 7, 10, False),
+    "q03_ml": (0.3, 8, 1, 4, "ml", 7, 500, False),
+    "q03_typicality_n12": (0.3, 12, 1, 8, "typicality", 2 ** 32 + 5, 200,
+                           False),
+    "v_layer_ml": (0.3, 8, 4, 8, "ml", 20260816, 60, True),
+    "v_layer_typicality_big_seed": (0.3, 8, 4, 8, "typicality", 2 ** 40,
+                                    60, True),
+}
+
+
+class TestTrialStreams:
+    """Every trial's Philox key from one array pass, and the batched trial
+    draws, against numpy's SeedSequence and a fresh _stream per trial."""
+
+    # 2^130 has five 32-bit words, one more than the pool, so its last
+    # word goes through SeedSequence's extra-entropy mixing
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3, 2 ** 130])
+    @pytest.mark.parametrize("stream", [1, 3])
+    def test_keys_match_seed_sequence(self, seed, stream):
+        got = _philox_keys(seed, stream, 5001)
+        want = [np.random.SeedSequence(seed, spawn_key=(stream, t))
+                .generate_state(2, np.uint64) for t in range(5001)]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
+    def test_draws_and_metrics_equal_per_trial_loop(self, name,
+                                                    monkeypatch):
+        q, n, m, k, decoder, seed, trials, v_layer = LOOP_CONFIGS[name]
+        j = BscCascadeSource(0.1, q).joint()
+        v = _v_channel(2) if v_layer else None
+        params = ProtocolParams(n=n, m=m, k=k, epsilon=0.15, trials=trials,
+                                seed=seed, decoder=decoder)
+        n_bits = n * m * (2 if v_layer else 1)
+        for got, want in zip(_trial_draws(j, params, n_bits),
+                             _looped_draws(j, params, n_bits)):
+            assert got.dtype == want.dtype == np.uint8
+            assert np.array_equal(got, want)
+        mets = run_experiment(j, TC_ID, params, v_given_yu=v)
+        monkeypatch.setattr(protocol, "_trial_draws", _looped_draws)
+        monkeypatch.setattr(protocol, "leakage_estimate",
+                            leakage_oracle.leakage_estimate)
+        assert mets == run_experiment(j, TC_ID, params, v_given_yu=v)
+
+
 def _scan_encode(x, code):
     """Reference encoder: test every codebook row's joint type with x and
     take the lowest typical row."""
@@ -458,10 +535,7 @@ class TestReconcile:
     def test_under_rate_fails_often(self):
         # R_u below I(X;U|Y) forces huge bins; the ml decoder then picks
         # spurious candidates and the error rate stays bounded away from 0
-        base = design_rates(J_BSC, TC_ID, epsilon=0.15)
-        low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
-                    r_v=0.0, r_v_prime=0.0)
-        code = bsc_code(10, seed=5, rates=low)
+        code = under_rate_code()
         from seqkey.protocol import _stream
         errs = 0
         for t in range(200):
@@ -612,14 +686,18 @@ class TestBatchedReconcile:
 
     def test_peak_memory_follows_chunk_budget(self):
         # the sim_short_blocks code (n = 8, ml): its 1,200 blocks unchunked
-        # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS candidate
-        # symbols, and its largest intermediate, the float64 scores, takes
-        # 8 bytes per symbol. The sim_long_blocks code (n = 12): the
-        # encoder's chunk holds at most CHUNK_ELEMENTS float32 counts and
-        # their bool window tests, next to one tile's word one-hot of at
-        # most CHUNK_ELEMENTS / 8 float32 entries
-        for n, blocks, decoder in ((8, 1200, "ml"), (12, 40, "typicality")):
-            code = bsc_code(n)
+        # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS / 2
+        # candidate symbols, and its largest intermediate, the float64
+        # scores, takes 8 bytes per symbol. The sim_long_blocks code
+        # (n = 12): the encoder's chunk holds at most CHUNK_ELEMENTS
+        # float32 counts and their bool window tests, next to one tile's
+        # word one-hot of at most CHUNK_ELEMENTS / 8 float32 entries. The
+        # under-rate code (n = 10, ml): one block's 11,586 candidates
+        # peaked at 1.35 MB before they were tiled
+        for code, blocks, decoder in ((bsc_code(8), 1200, "ml"),
+                                      (bsc_code(12), 40, "typicality"),
+                                      (under_rate_code(), 4, "ml")):
+            n = code.n
             x, y, _ = _blocks(n, blocks, seed=5)
             reconcile(x[:1], y[:1], code, decoder)
             tracemalloc.start()
@@ -742,6 +820,30 @@ class TestLeakageEstimate:
         from seqkey.protocol import _stream
         with pytest.raises(ParameterError):
             leakage_estimate([], [], _stream(0))
+
+    @pytest.mark.parametrize("trials", [150, 500, 2000])
+    def test_equals_dict_loop_oracle(self, trials):
+        # numpy-int and int keys, a single distinct key, tuple views from
+        # one distinct view up to all distinct (saturated)
+        rng = np.random.default_rng(trials)
+        cases = 0
+        for n_keys in (1, 4, 16, trials):
+            for n_views in (1, 6, trials // 3, trials):
+                keys = list(rng.integers(0, n_keys, trials))
+                if cases % 2:
+                    keys = [int(key) for key in keys]
+                if n_views == trials:
+                    ids = rng.permutation(trials)
+                else:
+                    ids = rng.integers(0, n_views, trials)
+                views = [(int(v) % 5, (int(v), trials - int(v)))
+                         for v in ids]
+                got = leakage_estimate(keys, views, _stream(cases, 4))
+                want = leakage_oracle.leakage_estimate(
+                    keys, views, _stream(cases, 4))
+                assert got == want, (n_keys, n_views)
+                assert all(type(v) is float for v in got)
+                cases += 1
 
 
 class TestProtocolParams:

@@ -798,22 +798,21 @@ def leakage_estimate(keys, views, rng):
     shuffles = [rng.permutation(trials) for _ in range(SHUFFLE_ROUNDS)]
     # row 0 pairs the keys as given, row r > 0 by shuffle r; pair ids are
     # distinct across rows
-    rows = np.vstack([key_code, key_code[shuffles]])
-    pairs = (np.arange(len(rows))[:, None] * n_keys + rows) * n_views \
-        + view_code
-    ids, first, count = np.unique(pairs.ravel(), return_index=True,
-                                  return_counts=True)
-    order = np.argsort(first)  # row by row, each by first appearance
-    ids, first, count = ids[order], first[order], count[order]
-    left = np.bincount(key_code)[ids // n_views % n_keys]
-    right = np.bincount(view_code)[ids % n_views]
-    ratio, to_ratio = np.unique(count * trials / (left * right),
-                                return_inverse=True)
-    log2 = np.array([math.log2(r) for r in ratio.tolist()])[to_ratio]
-    row = first // trials
-    starts = np.searchsorted(row, np.arange(len(rows)))
-    terms = np.zeros((len(rows), np.bincount(row).max()))
-    terms[row, np.arange(len(row)) - starts[row]] = (count / trials) * log2
+    pairs = np.vstack([key_code, key_code[shuffles]])
+    pairs += np.arange(len(pairs))[:, None] * n_keys
+    pairs *= n_views
+    pairs += view_code
+    first, count = np.unique(pairs, return_index=True,
+                             return_counts=True)[1:]
+    pair = pairs.ravel()[first]
+    margins = np.bincount(key_code)[pair // n_views % n_keys] \
+        * np.bincount(view_code)[pair % n_views]
+    ratio, to_ratio = np.unique(count * trials / margins, return_inverse=True)
+    log2 = np.array([math.log2(r) for r in ratio.tolist()])
+    # each pair's term sits where the pair first appears in its row; the
+    # zeros between leave the sequential sum unchanged
+    terms = np.zeros(pairs.shape)
+    terms.ravel()[first] = (count / trials) * log2[to_ratio]
     sums = terms.cumsum(axis=1)[:, -1]
     nulls = sums[1:]
     return float(sums[0]), float(nulls.mean()), float(nulls.std())

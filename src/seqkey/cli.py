@@ -30,6 +30,7 @@ record flags it.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -396,7 +397,12 @@ def _add_common(sub):
                      help="write to this file instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The seqkey parser, built once per process. Parsing leaves it as it
+    is; a build per call added up to more than a short simulate, and each
+    built parser was reference-cycle garbage that only the cyclic
+    collector frees, so it piled up between full collections."""
     top = argparse.ArgumentParser(
         prog="seqkey",
         description="rate-limited secret-key capacities and a desk-scale "

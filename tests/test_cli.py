@@ -9,6 +9,7 @@ import pytest
 
 from seqkey.binary import BscCascadeSource, c_rec_bsc, c_wsk_bsc
 from seqkey.cli import (
+    build_parser,
     demo_config_path,
     main,
     parse_grid,
@@ -325,6 +326,19 @@ class TestSimulate:
                     "hash_input_bits", "under_rate_flag"):
             assert key in ra["results"]
         assert "wall_time_s" not in ra
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # the parser is built once per process; what one call sets must
+        # not reach the next
+        assert build_parser() is build_parser()
+        cfg = write_cfg(tmp_path, FAST_CFG)
+        a, b = (str(tmp_path / n) for n in ("a.jsonl", "b.jsonl"))
+        assert main(["simulate", cfg, "--timing", "--seed", "8",
+                     "-o", a]) == 0
+        assert main(["simulate", cfg, "-o", b]) == 0
+        (ra,), (rb,) = read_records(a), read_records(b)
+        assert ra["seed"] == 8 and rb["seed"] == 7
+        assert "wall_time_s" in ra and "wall_time_s" not in rb
 
     def test_timing_flag_adds_wall_time(self, tmp_path):
         cfg = write_cfg(tmp_path, FAST_CFG)

@@ -8,27 +8,26 @@ reconciled sequence pair through the GF(2^N) multiplication hash. The
 empirical outputs are the reliability, leakage, and uniformity metrics.
 
 The reconciliation steps follow the random-coding protocol literally,
-lowest-index tie-breaks and the (1,1) fallback included. Robust typicality
-depends only on the joint type of (x^n, u^n), so the encoder tests each
-distinct U word once, at most min(W, |U|^n) of them for a W-row codebook,
-and answers with the lowest row holding a typical word: the same index a
-scan of every row would give. It gets the joint counts of a chunk of blocks
-with a tile of those words from one matrix product of one-hot tables. Every
-typicality test compares integer counts with integer windows computed once
-from the float thresholds (_count_windows), which decides exactly as the
-float comparison would.
+lowest-index tie-breaks and the (1,1) fallback included. Alice's encoder,
+Bob's U decode and V cover, Alice's V recovery and Eve's decode are each
+one scan over candidate words (_pick). Typicality depends only on the
+joint type of a block with a word, so the encoder tests each distinct U
+word once, at most min(W, |U|^n) of them for a W-row codebook, and answers
+with the lowest row holding a typical word, as a scan of every row would.
+Every test compares integer joint counts with integer windows computed
+once from the float thresholds (_count_windows), which decides exactly as
+the float comparison would. ML sums each candidate's log-likelihoods over
+its positions, and that float sum settles ties between words of equal
+likelihood, so a word in a higher row can win one.
 
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
-are batch axes; one block is a batch of one. A stage scores each block's
-candidate words over the last axis, CHUNK_ELEMENTS / 2 candidate symbols
-(the encoder: CHUNK_ELEMENTS joint counts with one tile of words) at a
-time, one block's candidates in tiles when they are more, so its
-intermediates stay small for any number of blocks or candidates, and ML
-scores are summed over that contiguous axis as for a single block. With a
-V layer, each call draws the codebook of each distinct (omega, nu) bin
-once, for every block in that bin, and holds those codebooks (one byte per
-symbol) until it returns. Two consequences at n <= 14 are worth knowing
-before reading any numbers:
+are batch axes; one block is a batch of one. The scan takes candidates in
+tiles and blocks in chunks, within CHUNK_ELEMENTS, so its intermediates
+stay small for any number of blocks or candidates. With a V layer, each
+call draws the codebook of each distinct (omega, nu) bin once, for every
+block in that bin, and holds those codebooks (one byte per symbol) until
+it returns. Two consequences at n <= 14 are worth knowing before reading
+any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -179,6 +178,25 @@ def _check_epsilon(epsilon):
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
 
 
+def _check_block_length(n):
+    if not isinstance(n, int) or not 2 <= n <= 14:
+        raise ParameterError(
+            f"block length must be an int in [2, 14], got {n!r}")
+
+
+def _check_decoder(decoder):
+    if decoder not in ("typicality", "ml"):
+        raise ParameterError(
+            f"decoder must be 'typicality' or 'ml', got {decoder!r}")
+
+
+def _check_alphabets(names, sizes):
+    for name, size in zip(names, sizes):
+        if size > 256:
+            raise ParameterError(
+                f"|{name}| = {size} is over the 256 symbols of a uint8")
+
+
 @dataclass(frozen=True)
 class Rates:
     """Code-construction rates in bits per symbol, each finite. The
@@ -248,65 +266,90 @@ def _count_windows(pmf_flat, eps, n):
             np.floor(n * pmf_flat * (1.0 + eps) + _COUNT_FUZZ))
 
 
-def _typical_mask(codes, pmf_flat, eps):
-    """Mask of robust typicality over the last axis of codes, which is
-    (..., n) of flattened cell indices: each cell's count must lie in its
-    integer window (_count_windows). Counts are taken one cell at a time;
-    this serves _pick, whose candidates differ per block. Alice's encoder
-    tests the same windows on counts from one matrix product
-    (_encode_alice)."""
-    lo, hi = _count_windows(pmf_flat, eps, codes.shape[-1])
-    ok = np.ones(codes.shape[:-1], dtype=bool)
-    for c in range(len(lo)):
-        cnt = (codes == c).sum(axis=-1)
-        ok &= (cnt >= lo[c]) & (cnt <= hi[c])
-    return ok
-
-
-def _pick(base, table, start, width, pmf, ll, eps, decoder):
+def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     """(row, found) per block among its candidate words
-    table[start:start + width].
+    table[start:start + width], start broadcasting against the leading axes
+    of ctx; with start None every block shares table[:width] (typicality
+    only: Alice's encoder over the distinct U words).
 
-    base is the (..., n) batch of context cells, already scaled by the
-    symbol alphabet, so base + word gives the flat (ctx..., sym) cells that
-    index both pmf and ll; start broadcasts against the leading axes.
-    Typicality: the lowest row typical for pmf (_typical_mask), or
-    (0, False) when none is. ML: the lowest row with the largest
-    log-likelihood sum under ll. A chunk holds at most CHUNK_ELEMENTS / 2
-    candidate symbols, so its float64 scores and their integer cells stay
-    within 8 CHUNK_ELEMENTS bytes: several blocks whole, or one block's
-    candidates in tiles, in order. Across tiles ML keeps a block's best
-    row, replaced only by a strictly larger score, and typicality stops
-    at the first tile holding a typical word.
+    ctx holds (..., n) context symbols in [0, ctx_size); context c and
+    candidate symbol s form the cell c |S| + s, |S| = pmf.size // ctx_size,
+    of pmf and ll. Typicality: the lowest row whose joint counts lie in
+    pmf's integer windows (_count_windows), else (0, False). ML: the lowest
+    row with the largest float sum (ndarray.sum) of ll over its positions;
+    words of one joint type are equally likely, yet the higher can win on
+    the last bit.
+
+    Tiles of candidates, in order, outer; the blocks still scanning, in
+    chunks, inside. A block leaves a typicality scan at its first typical
+    tile; ML replaces a row only on a strictly larger score. A chunk holds
+    at most CHUNK_ELEMENTS / 2 per-block symbols for ML (float64 terms),
+    CHUNK_ELEMENTS / 4 symbols and counts together for typicality (one
+    bincount; intp ids, int64 counts), and for shared candidates
+    CHUNK_ELEMENTS float32 counts, the product of the blocks' one-hot with
+    a tile's word one-hot of at most CHUNK_ELEMENTS / 8 entries.
     """
-    lead, n = base.shape[:-1], base.shape[-1]
-    base = base.reshape(-1, 1, n)
-    start = np.broadcast_to(start, lead).reshape(-1, 1)
-    row = np.zeros(len(base), dtype=np.intp)
-    found = np.full(len(base), decoder == "ml")
-    best = np.full(len(base), -np.inf)
-    tile = max(1, min(width, CHUNK_ELEMENTS // (2 * n)))
-    step = max(1, CHUNK_ELEMENTS // (2 * tile * n))
-    for lo in range(0, len(base), step):
-        blocks = slice(lo, lo + step)
-        for first in range(0, width, tile):
-            offsets = np.arange(first, min(first + tile, width))
-            codes = base[blocks] + table[start[blocks] + offsets]
-            if decoder == "ml":
-                scores = ll.ravel()[codes].sum(axis=-1)
-                arg = np.argmax(scores, axis=-1)
-                top = np.take_along_axis(scores, arg[:, None], -1)[:, 0]
-                better = top > best[blocks]
-                best[blocks][better] = top[better]
-                row[blocks][better] = first + arg[better]
+    lead, n = ctx.shape[:-1], ctx.shape[-1]
+    ctx = ctx.reshape(-1, n)
+    cells, sym = pmf.size, pmf.size // ctx_size
+    row = np.zeros(len(ctx), dtype=np.intp)
+    found = np.zeros(len(ctx), dtype=bool)  # left the scan; never for ML
+    best = np.full(len(ctx), -np.inf)
+    # exact in float32: the windows are integers
+    lo, hi = (w.reshape(cells, 1).astype(np.float32)
+              for w in _count_windows(pmf, eps, n))
+    if start is None:
+        tile = max(1, min(width, CHUNK_ELEMENTS // (8 * n * sym)))
+        step = max(1, min(len(ctx), CHUNK_ELEMENTS // (cells * tile)))
+        buf = np.empty(step * cells * tile, dtype=np.float32)
+        symbols = np.arange(ctx_size)[:, None]
+    else:
+        size = n if decoder == "ml" else 2 * (n + cells)
+        tile = max(1, min(width, CHUNK_ELEMENTS // (2 * size)))
+        step = max(1, CHUNK_ELEMENTS // (2 * tile * size))
+        # int16 cells where they fit: half the bytes of a chunk's int32
+        base = ctx.astype(np.int16 if cells <= 1 << 15 else np.int32) * sym
+        base = base[:, None, :]
+        start = np.broadcast_to(start, lead).reshape(-1, 1)
+    for first in range(0, width, tile):
+        todo = np.flatnonzero(~found)
+        whole = len(todo) == len(ctx)  # then chunk by cheaper slices
+        offsets = np.arange(first, min(first + tile, width))
+        if start is None:
+            hot = (table[offsets].T[:, None, :] == np.arange(sym)[:, None])
+            hot = hot.reshape(n, -1).astype(np.float32)
+        for chunk in range(0, len(todo), step):
+            blocks = slice(chunk, chunk + step) if whole \
+                else todo[chunk:chunk + step]
+            if start is None:
+                onehot = (ctx[blocks, None, :] == symbols).astype(
+                    np.float32).reshape(-1, n)
+                out = buf[:len(onehot) * hot.shape[1]].reshape(
+                    len(onehot), -1)
+                counts = np.matmul(onehot, hot, out=out).reshape(
+                    -1, cells, len(offsets))
             else:
-                mask = _typical_mask(codes, pmf, eps)
-                hit = mask.any(axis=-1) & ~found[blocks]
-                row[blocks][hit] = first + np.argmax(mask[hit], axis=-1)
-                found[blocks] |= hit
-                if found[blocks].all():
-                    break
-    return row.reshape(lead), found.reshape(lead)
+                codes = base[blocks] + table[start[blocks] + offsets]
+                if decoder == "ml":
+                    scores = ll.ravel()[codes].sum(axis=-1)
+                    top = scores.max(axis=-1)
+                    better = top > best[blocks]
+                    best[blocks] = np.where(better, top, best[blocks])
+                    row[blocks] = np.where(better, first + scores.argmax(
+                        axis=-1), row[blocks])
+                    continue
+                cand = codes.size // n
+                ids = codes.reshape(cand, n).astype(np.intp)
+                ids += cells * np.arange(cand)[:, None]
+                counts = np.bincount(ids.ravel(), minlength=cand * cells)
+                counts = counts.reshape(-1, len(offsets), cells).transpose(
+                    0, 2, 1)
+            ok = counts >= lo
+            ok &= counts <= hi
+            ok = np.logical_and.reduce(ok, axis=1)
+            hit = found[blocks] = ok.any(axis=-1)
+            row[blocks] = np.where(hit, first + ok.argmax(axis=-1), 0)
+    return row.reshape(lead), (found | (decoder == "ml")).reshape(lead)
 
 
 def _distinct_rows(codebook, base):
@@ -352,8 +395,9 @@ class ReconCode:
 
     The U codebook is materialized (row r = pair (omega, nu) with
     r = omega * w_nu + nu, so row order is the lexicographic pair order).
-    Next to it sit its distinct words and the lowest row of each, so the
-    encoder tests at most min(W, |U|^n) words instead of all W rows. Every
+    Next to it sit its distinct words and the lowest row of each, which
+    the encoder scans for every block (_pick's shared case): at most
+    min(W, |U|^n) words instead of all W rows. Every
     typicality test of the U layer uses the slack eps, the V layer's uses
     eps2 = 2 eps.
     V codebooks are per-(omega, nu) and are regenerated on demand from
@@ -399,9 +443,7 @@ class ReconCode:
     @classmethod
     def generate(cls, j, tc_u, n, epsilon, seed, v_given_yu=None,
                  rates=None):
-        if not isinstance(n, int) or not 2 <= n <= 14:
-            raise ParameterError(
-                f"block length must be an integer in [2, 14], got {n!r}")
+        _check_block_length(n)
         _check_epsilon(epsilon)
         nx, ny, _ = j.dims
         if tc_u.rows.shape[0] != nx:
@@ -420,10 +462,11 @@ class ReconCode:
             if np.any(v_given_yu < 0.0) or not np.allclose(
                     v_given_yu.sum(axis=2), 1.0, atol=1e-12):
                 raise ParameterError("v channel rows must be pmfs")
-        if rates is None:
-            v_arg = None if v_given_yu.shape[2] == 1 else v_given_yu
-            rates = design_rates(j, tc_u, v_arg, epsilon)
         nv = v_given_yu.shape[2]
+        _check_alphabets("XYZUV", j.dims + (nu, nv))
+        if rates is None:
+            v_arg = None if nv == 1 else v_given_yu
+            rates = design_rates(j, tc_u, v_arg, epsilon)
 
         w_u, w_nu = _size(rates.r_u, n), _size(rates.r_u_prime, n)
         w_k, w_l = _size(rates.r_v, n), _size(rates.r_v_prime, n)
@@ -508,55 +551,17 @@ class ReconcileResult:
 
 def _encode_alice(x, code):
     """(omega, nu, found) per block: the lowest codebook row whose word is
-    jointly typical with x, or (0, 0, False) when no word is.
-
-    The distinct words are taken in tiles, in order, and each tile's
-    (n, |U| words) one-hot is built once. The joint counts N(a, u) of a
-    chunk of blocks with a tile's words come from one float32 product: the
-    (blocks |X|, n) one-hot of x times the tile's. The counts are small
-    integers, so float32 holds them exactly and the integer windows of
-    _count_windows decide typicality as the float thresholds would. A
-    block leaves the scan at the first tile holding a typical word. A tile
-    holds at most CHUNK_ELEMENTS // 8 one-hot entries and a chunk at most
-    CHUNK_ELEMENTS counts, in one buffer reused by every chunk.
-    """
-    lead, n = x.shape[:-1], x.shape[-1]
-    x = x.reshape(-1, n)
-    nu, cells, words = code.nu_size, code.pmf_xu.size, len(code.u_words)
-    # exact in float32: the windows are integers
-    lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in
-              _count_windows(code.pmf_xu, code.eps, n))
-    symbols = np.arange(cells // nu)[:, None]
-    word = np.zeros(len(x), dtype=np.intp)
-    found = np.zeros(len(x), dtype=bool)
-    width = max(1, min(words, CHUNK_ELEMENTS // (8 * n * nu)))
-    step = max(1, min(len(x), CHUNK_ELEMENTS // (cells * width)))
-    buf = np.empty(step * len(symbols) * nu * width, dtype=np.float32)
-    for first in range(0, words, width):
-        tile = code.u_words[first:first + width]
-        tile_hot = (tile.T[:, None, :] == np.arange(nu)[:, None]).reshape(
-            n, -1).astype(np.float32)
-        todo = np.flatnonzero(~found)
-        for start in range(0, len(todo), step):
-            blocks = todo[start:start + step]
-            onehot = (x[blocks, None, :] == symbols).astype(
-                np.float32).reshape(-1, n)
-            out = buf[:len(onehot) * tile_hot.shape[1]].reshape(
-                len(onehot), -1)
-            counts = np.matmul(onehot, tile_hot, out=out).reshape(
-                len(blocks), cells, -1)
-            ok = counts >= lo
-            ok &= counts <= hi
-            ok = np.logical_and.reduce(ok, axis=1)
-            found[blocks] = ok.any(axis=-1)
-            word[blocks] = first + np.argmax(ok, axis=-1)
-    flat = np.where(found, code.u_first_rows[word], 0).reshape(lead)
-    return flat // code.w_nu, flat % code.w_nu, found.reshape(lead)
+    jointly typical with x; a miss picks word 0, the word of row 0."""
+    word, found = _pick(x, code.tc_rows.shape[0], code.u_words, None,
+                        len(code.u_words), code.pmf_xu, None, code.eps,
+                        "typicality")
+    flat = code.u_first_rows[word]
+    return flat // code.w_nu, flat % code.w_nu, found
 
 
 def _decode_u(y, omega_idx, code, decoder):
     """Bob's (nu, found) per block, within its public bin omega."""
-    return _pick(y.astype(np.int16) * code.nu_size, code.u_codebook,
+    return _pick(y, code.v_given_yu.shape[0], code.u_codebook,
                  omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
                  code.ll_y_given_u, code.eps, decoder)
 
@@ -579,10 +584,10 @@ def _v_books(code, omega_idx, nu_idx):
 def _cover_v(y, shat_u, books, first, code, decoder):
     """Bob's (k, v) per block: the V codeword of his bin's codebook (table
     rows from `first`) that covers (u, y)."""
-    ny, nv = code.v_given_yu.shape[0], code.nv_size
-    flat, _ = _pick((shat_u.astype(np.int32) * ny + y) * nv, books, first,
-                    code.w_k * code.w_l, code.pmf_uyv, code.ll_v_given_uy,
-                    code.eps2, decoder)
+    ny = code.v_given_yu.shape[0]
+    flat, _ = _pick(shat_u.astype(np.int32) * ny + y, code.nu_size * ny,
+                    books, first, code.w_k * code.w_l, code.pmf_uyv,
+                    code.ll_v_given_uy, code.eps2, decoder)
     return flat // code.w_l, books[first + flat]
 
 
@@ -601,8 +606,8 @@ def _recover_alice(x, s_u, books, first, k_idx, code, decoder):
     """Alice's V estimate per block, picked among the w_l codewords of
     Bob's k group in her bin's codebook (table rows from `first`)."""
     start = first + k_idx * code.w_l
-    l_idx, _ = _pick((x.astype(np.int32) * code.nu_size + s_u)
-                     * code.nv_size, books, start, code.w_l, code.pmf_xuv,
+    l_idx, _ = _pick(x.astype(np.int32) * code.nu_size + s_u,
+                     code.pmf_xu.size, books, start, code.w_l, code.pmf_xuv,
                      code.ll_v_given_xu, code.eps2, decoder)
     return books[start + l_idx]
 
@@ -620,9 +625,7 @@ def reconcile(x, y, code, decoder="typicality"):
     then recovers her own V estimate inside (her nu, his k). Each distinct
     bin's V codebook is drawn once per call, for Bob and Alice together.
     """
-    if decoder not in ("typicality", "ml"):
-        raise ParameterError(
-            f"decoder must be 'typicality' or 'ml', got {decoder!r}")
+    _check_decoder(decoder)
     x = np.asarray(x)
     y = np.asarray(y)
     if x.ndim < 1 or x.shape != y.shape or x.shape[-1] != code.n:
@@ -654,6 +657,7 @@ def reconcile(x, y, code, decoder="typicality"):
 def _source_symbols(j, draws):
     """(x, y, z) uint8 symbols, each shaped like the uniforms `draws`: a
     uniform counts against the joint's cumulative masses in flat order."""
+    _check_alphabets("XYZ", j.dims)
     cum = np.cumsum(j.masses.ravel())
     cum[-1] = 1.0
     idx = np.searchsorted(cum, draws, side="right")
@@ -724,9 +728,7 @@ class ProtocolParams:
     rates: Rates = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 2 <= self.n <= 14:
-            raise ParameterError(
-                f"block length must be an int in [2, 14], got {self.n!r}")
+        _check_block_length(self.n)
         if not isinstance(self.m, int) or self.m < 1:
             raise ParameterError(
                 f"block count must be a positive int, got {self.m!r}")
@@ -744,10 +746,7 @@ class ProtocolParams:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ParameterError(
                 f"seed must be a non-negative int, got {self.seed!r}")
-        if self.decoder not in ("typicality", "ml"):
-            raise ParameterError(
-                f"decoder must be 'typicality' or 'ml', got "
-                f"{self.decoder!r}")
+        _check_decoder(self.decoder)
 
 
 @dataclass(frozen=True)

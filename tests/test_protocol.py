@@ -257,6 +257,21 @@ class TestReconCode:
         with pytest.raises(ParameterError):
             bsc_code(15)
 
+    def test_alphabet_over_uint8_rejected(self):
+        # symbols are stored as uint8: these codes used to be built, their
+        # U or V symbols wrapped modulo 256
+        v = np.zeros((2, 2, 300))
+        v[..., 299] = 1.0
+        with pytest.raises(ParameterError, match=r"\|V\| = 300"):
+            ReconCode.generate(J_BSC, TC_ID, n=8, epsilon=0.15, seed=0,
+                               v_given_yu=v, rates=WIDE_RATES)
+        masses = np.zeros((300, 2, 2))
+        masses[:, 0, 0] = 1.0 / 300
+        with pytest.raises(ParameterError, match=r"\|X\| = 300"):
+            ReconCode.generate(DiscreteJoint(masses),
+                               TestChannel.identity(300), n=8, epsilon=0.15,
+                               seed=0, rates=WIDE_RATES)
+
 
 class TestSampleSource:
     def test_deterministic(self):
@@ -282,6 +297,18 @@ class TestSampleSource:
     def test_domain(self):
         with pytest.raises(ParameterError):
             sample_source(J_BSC, 0, seed=1)
+
+    def test_alphabet_over_uint8_rejected(self):
+        # x = 299 used to come back as the uint8 symbol 43; 256 symbols fit
+        for size, want in ((256, 255), (300, None)):
+            masses = np.zeros((size, 2, 2))
+            masses[size - 1, 0, 0] = 1.0
+            if want is None:
+                with pytest.raises(ParameterError, match=r"\|X\| = 300"):
+                    sample_source(DiscreteJoint(masses), 4, seed=1)
+            else:
+                x, _, _ = sample_source(DiscreteJoint(masses), 4, seed=1)
+                assert np.all(x == want)
 
 
 def _looped_draws(j, params, n_bits):
@@ -613,8 +640,10 @@ class TestBatchedReconcile:
     """The batched stages against the block-by-block oracle."""
 
     # at 1,200 blocks the default budget cuts the encoder's batch too;
-    # at 100 elements every stage's chunk edges fall inside 7 blocks
-    @pytest.mark.parametrize("blocks, chunk", [(1, None), (7, 100),
+    # at 100 elements every stage's chunk edges fall inside 7 blocks; at 4,
+    # fewer than one candidate's n symbols, every tile holds one candidate
+    # and every chunk one block
+    @pytest.mark.parametrize("blocks, chunk", [(1, None), (7, 100), (7, 4),
                                                (1200, None)])
     @pytest.mark.parametrize("decoder", ["typicality", "ml"])
     @pytest.mark.parametrize("name", sorted(BATCH_CODES))
@@ -693,10 +722,14 @@ class TestBatchedReconcile:
         # float32 counts and their bool window tests, next to one tile's
         # word one-hot of at most CHUNK_ELEMENTS / 8 float32 entries. The
         # under-rate code (n = 10, ml): one block's 11,586 candidates
-        # peaked at 1.35 MB before they were tiled
+        # peaked at 1.35 MB before they were tiled. The nv3 code (n = 6,
+        # typicality): its V stages count 12 cells per candidate, more than
+        # its n symbols, so a chunk sized by n alone overruns the budget
         for code, blocks, decoder in ((bsc_code(8), 1200, "ml"),
                                       (bsc_code(12), 40, "typicality"),
-                                      (under_rate_code(), 4, "ml")):
+                                      (under_rate_code(), 4, "ml"),
+                                      (_batch_code("nv3"), 600,
+                                       "typicality")):
             n = code.n
             x, y, _ = _blocks(n, blocks, seed=5)
             reconcile(x[:1], y[:1], code, decoder)
@@ -856,6 +889,22 @@ class TestProtocolParams:
                     dict(good, decoder="nope")):
             with pytest.raises(ParameterError):
                 ProtocolParams(**bad)
+
+    def test_shared_checks_give_one_message(self):
+        # the block length and the decoder name were each checked in two
+        # places, with two wordings
+        good = dict(n=8, m=1, k=4, epsilon=0.15, trials=10, seed=0)
+        x, y, _ = sample_source(J_BSC, 8, seed=1)
+        for field, bad, call in (
+                ("n", 15, lambda: bsc_code(15)),
+                ("n", 2.0, lambda: bsc_code(2.0)),
+                ("decoder", "nope",
+                 lambda: reconcile(x, y, bsc_code(8), "nope"))):
+            with pytest.raises(ParameterError) as from_params:
+                ProtocolParams(**dict(good, **{field: bad}))
+            with pytest.raises(ParameterError) as from_call:
+                call()
+            assert str(from_params.value) == str(from_call.value)
 
     def test_seed_must_be_non_negative_int(self):
         # a negative seed used to reach numpy's SeedSequence and raise

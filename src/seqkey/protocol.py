@@ -41,6 +41,15 @@ any numbers:
   that is measured by shuffling the key column against the views; both
   numbers are reported.
 
+Every symbol counts its uniform against the cuts of a cumulative pmf
+(_count_cuts), as Generator.choice's search does: U codebook symbols
+against p_U, each V codebook column against p_{V|u} of its U symbol, the
+source against the joint's masses in flat order. A codebook's uniforms
+are drawn in chunks of CHUNK_ELEMENTS and compared as the raw Philox words
+Generator.random makes them from, so a draw holds its symbols and one
+chunk. The distinct U words and the lowest row of each come from a table
+indexed by the words' base-|U| keys (_distinct_rows), without a sort.
+
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
 spawn key (3, t). The keys of every trial come from one array pass of
@@ -69,7 +78,7 @@ from seqkey.optimizer import TestChannel, rate_constraint
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
 MAX_U_CODEWORDS = 1 << 22  # U codebook memory budget (rows)
 MAX_V_CODEWORDS = 1 << 16  # per-bin V codebook budget
-CHUNK_ELEMENTS = 1 << 16   # candidate symbols one pick holds at once
+CHUNK_ELEMENTS = 1 << 16   # symbols one pick or draw holds at once
 SHUFFLE_ROUNDS = 32
 _COUNT_FUZZ = 1e-9         # absorbs float error at integer window edges
 # numpy's SeedSequence constants: pool size, hashmix and mix multipliers
@@ -155,18 +164,47 @@ def _trial_streams(seed, stream, trials):
         yield rng
 
 
+def _count_cuts(uniforms, cuts, shape):
+    """Symbols shaped `shape`, each the number of `cuts` at or below its
+    uniform, in the smallest unsigned dtype that holds len(cuts): against
+    nondecreasing cuts, np.searchsorted(cuts, u, side="right").
+
+    uniforms is an array shaped `shape`, or a Philox Generator whose
+    uniforms are those of one rng.random(shape), counted from the raw
+    64-bit words w they are made of: random() makes w the double
+    (w >> 11) 2^-53, which is at least a cut c exactly when w >> 11 is at
+    least ceil(c 2^53). Each cut broadcasts against one row of symbols, so
+    a cut may differ per column. Rows go in chunks of at most
+    CHUNK_ELEMENTS uniforms, so a draw holds its symbols and one chunk.
+    Each cut is one pass over the chunk: cheap for the few cuts of a small
+    alphabet, linear in their number where a search would be logarithmic.
+    """
+    drawn = isinstance(uniforms, np.random.Generator)
+    if drawn:
+        cuts = np.ceil(np.asarray(cuts) * 2.0 ** 53).astype(np.uint64)
+    out = np.zeros(shape, dtype=np.min_scalar_type(len(cuts)))
+    step = max(1, min(len(out), CHUNK_ELEMENTS // math.prod(shape[1:])))
+    hit = np.empty((step,) + out.shape[1:], dtype=bool)
+    for first in range(0, len(out), step):
+        block = out[first:first + step]
+        if drawn:
+            u = uniforms.bit_generator.random_raw(block.shape)
+            u >>= 11
+        else:
+            u = uniforms[first:first + step]
+        h = hit[:len(block)]
+        for cut in cuts:
+            block += np.greater_equal(u, cut, out=h)
+    return out
+
+
 def _draw_symbols(rng, pmf, shape):
     """uint8 symbols i.i.d. from ``pmf``, equal to
     ``rng.choice(len(pmf), shape, p=pmf).astype(np.uint8)``: the same
-    uniforms, each counted against the same normalized CDF, without the
-    int64 search result."""
+    uniforms, each counted against the same normalized CDF, in chunks."""
     cdf = pmf.cumsum()
     cdf /= cdf[-1]
-    draws = rng.random(shape)
-    out = np.zeros(shape, dtype=np.uint8)
-    for c in cdf[:-1]:
-        out += draws >= c
-    return out
+    return _count_cuts(rng, cdf[:-1], shape)
 
 
 def _bits_per_symbol(size):
@@ -356,13 +394,17 @@ def _distinct_rows(codebook, base):
     """The distinct rows of a (W, n) symbol codebook and the lowest row
     index holding each, both ordered by that index.
 
-    Rows are keyed as base-`base` integers built column by column; before a
-    column could overflow int64 the running keys are replaced by their dense
-    ranks, which are below W. An unstable sort groups equal keys, and each
-    group's minimum row is its first; np.unique(return_index=True) needs a
-    stable sort, about four times slower at W = 176k.
+    Rows are keyed as base-`base` integers built column by column. Before
+    a column could overflow int64, and at the end if the keys span more
+    than W values, they are replaced by their dense ranks (np.unique, a
+    sort), which are below W. A table over the key span then takes each
+    key's lowest row with np.minimum.at, without a sort. The demo code's
+    176,334 binary rows of n = 12 span 4,096 keys and are never ranked; a
+    wide alphabet or a codebook of fewer than base^n rows is.
     """
-    keys = np.zeros(codebook.shape[0], dtype=np.int64)
+    rows, n = codebook.shape
+    # int32 where the span fits: each column's pass moves half the bytes
+    keys = np.zeros(rows, dtype=np.int32 if base ** n < 2 ** 31 else np.int64)
     span = 1
     for col in codebook.T:
         if span * base > np.iinfo(np.int64).max:
@@ -371,11 +413,12 @@ def _distinct_rows(codebook, base):
         keys *= base
         keys += col
         span *= base
-    order = np.argsort(keys)
-    grouped = keys[order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    first = np.minimum.reduceat(order, starts)
-    first.sort()
+    if span > rows:
+        ranked, keys = np.unique(keys, return_inverse=True)
+        span = ranked.size
+    first = np.full(span, rows)
+    np.minimum.at(first, keys, np.arange(rows))
+    first = np.sort(first[first < rows])
     return codebook[first], first
 
 
@@ -394,12 +437,13 @@ class ReconCode:
     """Fixed random code for one experiment.
 
     The U codebook is materialized (row r = pair (omega, nu) with
-    r = omega * w_nu + nu, so row order is the lexicographic pair order).
-    Next to it sit its distinct words and the lowest row of each, which
-    the encoder scans for every block (_pick's shared case): at most
-    min(W, |U|^n) words instead of all W rows. Every
-    typicality test of the U layer uses the slack eps, the V layer's uses
-    eps2 = 2 eps.
+    r = omega * w_nu + nu, so row order is the lexicographic pair order),
+    drawn from stream (seed, 0) in chunks, the bytes of Generator.choice.
+    Next to it sit its distinct words and the lowest row of each, taken
+    from a table over the words' keys, which the encoder scans for every
+    block (_pick's shared case): at most min(W, |U|^n) words instead of
+    all W rows. Every typicality test of the U layer uses the slack eps,
+    the V layer's uses eps2 = 2 eps.
     V codebooks are per-(omega, nu) and are regenerated on demand from
     their own stream key, which keeps them fixed across trials without
     materializing all of them; a reconcile call draws each bin it needs
@@ -519,13 +563,10 @@ class ReconCode:
         if self.nv_size == 1:
             return np.zeros((self.w_k * self.w_l, self.n), dtype=np.uint8)
         u_row = self.u_codebook[omega_idx * self.w_nu + nu_idx]
-        rng = _stream(self.seed, 2, omega_idx, nu_idx)
-        r = rng.random((self.w_k * self.w_l, self.n))
-        out = np.empty_like(r, dtype=np.uint8)
-        for i in range(self.n):
-            out[:, i] = np.searchsorted(self.p_v_cum_by_u[u_row[i]],
-                                        r[:, i], side="right")
-        return np.minimum(out, self.nv_size - 1)
+        # column i counts its uniforms against the cuts of p_{V|u_i}
+        return _count_cuts(_stream(self.seed, 2, omega_idx, nu_idx),
+                           self.p_v_cum_by_u[u_row, :-1].T,
+                           (self.w_k * self.w_l, self.n))
 
 
 @dataclass(frozen=True)
@@ -659,8 +700,7 @@ def _source_symbols(j, draws):
     uniform counts against the joint's cumulative masses in flat order."""
     _check_alphabets("XYZ", j.dims)
     cum = np.cumsum(j.masses.ravel())
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, draws, side="right")
+    idx = _count_cuts(draws, cum[:-1], draws.shape)
     return tuple(a.astype(np.uint8) for a in np.unravel_index(idx, j.dims))
 
 

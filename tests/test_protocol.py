@@ -50,6 +50,8 @@ from seqkey.protocol import (
 
 J_BSC = BscCascadeSource(0.1, 0.3).joint()
 TC_ID = TestChannel.identity(2)
+TC_SKEW = TestChannel([[0.8, 0.2], [0.3, 0.7]])
+CHUNK = protocol.CHUNK_ELEMENTS
 
 
 def bsc_code(n, epsilon=0.15, seed=0, rates=None):
@@ -63,6 +65,16 @@ def under_rate_code():
     low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
                 r_v=0.0, r_v_prime=0.0)
     return bsc_code(10, seed=5, rates=low)
+
+
+def _check_distinct_rows(codebook, base):
+    """_distinct_rows gives np.unique's distinct rows and lowest rows,
+    ordered by row."""
+    words, first = _distinct_rows(codebook, base)
+    ref_words, ref_first = np.unique(codebook, axis=0, return_index=True)
+    order = np.argsort(ref_first)
+    assert np.array_equal(first, ref_first[order])
+    assert np.array_equal(words, ref_words[order])
 
 
 def _drawn_v_codebook(code, omega, nu_idx):
@@ -137,22 +149,33 @@ class TestReconCode:
         [0.4, 0.0, 0.6],              # a symbol with zero mass
         [0.2, 0.3, 0.5],              # |U| = 3
         [0.1, 0.2, 0.3, 0.4],         # |U| = 4
+        [0.0, 0.3, 0.7],              # zero mass on the first symbol
+        [0.3, 0.7, 0.0],              # zero mass on the last symbol
     ])
     def test_symbol_draw_equals_generator_choice(self, pmf):
         p_u = np.array(pmf)
-        got = _draw_symbols(_stream(7, 0), p_u, (3000, 12))
-        want = _stream(7, 0).choice(len(pmf), (3000, 12),
-                                    p=p_u).astype(np.uint8)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
+        for shape in ((3000, 12),
+                      # rows x n just below, at and just above one chunk
+                      (CHUNK // 8 - 1, 8), (CHUNK // 8, 8),
+                      (CHUNK // 8 + 1, 8),
+                      # 12 does not divide the chunk: 5,461 rows fill one
+                      (CHUNK // 12, 12), (CHUNK // 12 + 1, 12),
+                      (5 * CHUNK // 12, 12)):
+            got = _draw_symbols(_stream(7, 0), p_u, shape)
+            want = _stream(7, 0).choice(len(pmf), shape,
+                                        p=p_u).astype(np.uint8)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), shape
 
     def test_u_codebook_is_the_choice_draw(self):
-        tc = TestChannel([[0.8, 0.2], [0.3, 0.7]])
-        code = ReconCode.generate(J_BSC, tc, n=8, epsilon=0.15, seed=5)
-        p_u = J_BSC.marginal((0,)) @ tc.rows
-        want = _stream(5, 0).choice(2, code.u_codebook.shape,
-                                    p=p_u).astype(np.uint8)
-        assert np.array_equal(code.u_codebook, want)
+        # the n = 12 identity code is the demo's, 176,334 rows in 33 chunks
+        for tc, n in ((TC_SKEW, 8), (TC_SKEW, 12), (TC_SKEW, 14),
+                      (TC_ID, 12)):
+            code = ReconCode.generate(J_BSC, tc, n=n, epsilon=0.15, seed=5)
+            p_u = J_BSC.marginal((0,)) @ tc.rows
+            want = _stream(5, 0).choice(2, code.u_codebook.shape,
+                                        p=p_u).astype(np.uint8)
+            assert np.array_equal(code.u_codebook, want), n
 
     def test_v_codebook_lazy_and_stable(self):
         v = np.zeros((2, 2, 2))
@@ -184,6 +207,21 @@ class TestReconCode:
         assert np.array_equal(code.u_words, words[order])
         assert len(code.u_first_rows) == 1 << 12
 
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_distinct_rows_table_over_keys(self, n):
+        # 20,000 binary rows span at most 2^14 keys, no more than the rows:
+        # the first-row table is indexed by the keys themselves
+        codebook = _draw_symbols(_stream(n, 0), np.array([0.7, 0.3]),
+                                 (20000, n))
+        _check_distinct_rows(codebook, 2)
+
+    def test_distinct_rows_ranks_a_wide_span(self):
+        # ternary n = 11 spans 3^11 = 177,147 keys, more than the 300 rows:
+        # the keys are ranked before the table is built
+        rng = np.random.default_rng(11)
+        pool = rng.integers(0, 3, size=(60, 11)).astype(np.uint8)
+        _check_distinct_rows(pool[rng.integers(0, 60, size=300)], 3)
+
     def test_distinct_rows_reranks_before_int64_overflow(self):
         # 256^14 > 2^63: keys left to wrap mod 2^64 would keep only the
         # last 8 symbols, on which all these rows agree
@@ -191,12 +229,43 @@ class TestReconCode:
         pool = rng.integers(0, 256, size=(40, 14)).astype(np.uint8)
         pool[:, 6:] = pool[0, 6:]
         codebook = pool[rng.integers(0, 40, size=300)]
-        words, first = _distinct_rows(codebook, 256)
-        ref_words, ref_first = np.unique(codebook, axis=0,
-                                         return_index=True)
-        order = np.argsort(ref_first)
-        assert np.array_equal(first, ref_first[order])
-        assert np.array_equal(words, ref_words[order])
+        _check_distinct_rows(codebook, 256)
+
+    def test_generate_peak_memory(self):
+        # the sim_long_blocks code: 176,334 rows of n = 12. Drawn at once,
+        # its 2.1M float64 uniforms made generate peak at 21.2 MB. It
+        # holds the uint8 codebook (W n bytes) and, while it draws, one
+        # chunk of CHUNK_ELEMENTS raw 64-bit words and bool hits (9 bytes
+        # each); while it groups the rows, their int32 keys and intp row
+        # numbers (12 W bytes). Together W (n + 12) + 9 CHUNK_ELEMENTS
+        # = 4.8 MB
+        j = BscCascadeSource(0.1, 0.5).joint()
+        ReconCode.generate(j, TC_ID, n=12, epsilon=0.15, seed=20260816)
+        tracemalloc.start()
+        try:
+            code = ReconCode.generate(j, TC_ID, n=12, epsilon=0.15,
+                                      seed=20260816)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, n = code.u_codebook.shape
+        assert rows == 176334
+        assert peak <= rows * (n + 12) + 9 * CHUNK, peak
+
+    def test_v_codebook_equals_search_draw(self):
+        # three V symbols, so two cuts per column, each column's from its
+        # own U symbol; 2^16 rows of 8 are 8 chunks of uniforms
+        tall = ReconCode.generate(
+            J_BSC, TC_ID, n=8, epsilon=0.3, seed=2, v_given_yu=_v_channel(3),
+            rates=Rates(r_u=1.0, r_u_prime=0.25, r_v=1.5, r_v_prime=0.5))
+        for code in (_batch_code("nv3"), tall):
+            for omega, nu_idx in ((0, 0), (1, 0), (code.w_u - 1,
+                                                   code.w_nu - 1)):
+                got = code.v_codebook(omega, nu_idx)
+                assert got.dtype == np.uint8
+                assert np.array_equal(
+                    got, _drawn_v_codebook(code, omega, nu_idx))
+        assert code.w_k * code.w_l * code.n == 8 * CHUNK
 
     def test_v_codebook_without_v_layer_matches_draw(self):
         # nv = 1: the draw-then-clamp construction always gave zeros,
@@ -274,6 +343,20 @@ class TestReconCode:
 
 
 class TestSampleSource:
+    def test_equals_search_of_cumulative_masses(self):
+        # 23 cuts, zero-mass cells among them, over several chunks
+        masses = np.random.default_rng(3).random((3, 4, 2))
+        masses[0, 1] = masses[2, 3] = 0.0
+        j = DiscreteJoint(masses / masses.sum())
+        count = 3 * CHUNK + 5
+        cum = np.cumsum(j.masses.ravel())
+        cum[-1] = 1.0
+        flat = np.searchsorted(cum, _stream(9).random(count), side="right")
+        for got, want in zip(sample_source(j, count, seed=9),
+                             np.unravel_index(flat, j.dims)):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+
     def test_deterministic(self):
         a = sample_source(J_BSC, 64, seed=7)
         b = sample_source(J_BSC, 64, seed=7)
@@ -740,6 +823,34 @@ class TestBatchedReconcile:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * protocol.CHUNK_ELEMENTS, (n, peak)
+
+    @pytest.mark.parametrize("blocks", [1200, 4800])
+    @pytest.mark.parametrize("decoder", ["typicality", "ml"])
+    @pytest.mark.parametrize("name", ["nv2", "nv3"])
+    def test_peak_memory_follows_stated_bound(self, name, decoder, blocks):
+        # README's bound: the chunk budget (8 CHUNK_ELEMENTS bytes), the V
+        # books the call holds (one byte per symbol) and the arrays with
+        # one entry per block: about ten 8-byte indices and scores and a
+        # few flags (at most 96 bytes), the int32 and int16 cell codes of
+        # its inputs and its uint8 result rows (at most 16 bytes a symbol).
+        # The nv3 code at ml and 1,200 blocks peaked at 602 KB, over the
+        # chunk budget alone; at 4,800 blocks every case here is over 0.9 MB
+        code = _batch_code(name)
+        x, y, _ = _blocks(code.n, blocks, seed=5)
+        omega, alice_nu, _ = _encode_alice(x, code)
+        bob_nu, _ = _decode_u(y, omega, code, decoder)
+        bins = set(zip(omega.tolist(), alice_nu.tolist())) | set(
+            zip(omega.tolist(), bob_nu.tolist()))
+        books = len(bins) * code.w_k * code.w_l * code.n
+        reconcile(x[:1], y[:1], code, decoder)
+        tracemalloc.start()
+        try:
+            reconcile(x, y, code, decoder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * CHUNK + books + 16 * (code.n + 6) * blocks
+        assert peak <= bound, (peak, bound)
 
     def test_batch_shapes_validated(self):
         code = bsc_code(8)

@@ -45,10 +45,10 @@ Every symbol counts its uniform against the cuts of a cumulative pmf
 (_count_cuts), as Generator.choice's search does: U codebook symbols
 against p_U, each V codebook column against p_{V|u} of its U symbol, the
 source against the joint's masses in flat order. A codebook's uniforms
-are drawn in chunks of CHUNK_ELEMENTS and compared as the raw Philox words
-Generator.random makes them from, so a draw holds its symbols and one
-chunk. The distinct U words and the lowest row of each come from a table
-indexed by the words' base-|U| keys (_distinct_rows), without a sort.
+are drawn in chunks of CHUNK_ELEMENTS into one reused buffer, so a draw
+holds its symbols and one chunk. The distinct U words and the lowest row
+of each come from a table indexed by the words' base-|U| keys
+(_distinct_rows), without a sort.
 
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
@@ -169,27 +169,25 @@ def _count_cuts(uniforms, cuts, shape):
     uniform, in the smallest unsigned dtype that holds len(cuts): against
     nondecreasing cuts, np.searchsorted(cuts, u, side="right").
 
-    uniforms is an array shaped `shape`, or a Philox Generator whose
-    uniforms are those of one rng.random(shape), counted from the raw
-    64-bit words w they are made of: random() makes w the double
-    (w >> 11) 2^-53, which is at least a cut c exactly when w >> 11 is at
-    least ceil(c 2^53). Each cut broadcasts against one row of symbols, so
-    a cut may differ per column. Rows go in chunks of at most
-    CHUNK_ELEMENTS uniforms, so a draw holds its symbols and one chunk.
-    Each cut is one pass over the chunk: cheap for the few cuts of a small
-    alphabet, linear in their number where a search would be logarithmic.
+    uniforms is an array shaped `shape`, or a Generator whose uniforms are
+    those of one rng.random(shape), drawn row chunk by row chunk into one
+    reused buffer: the same stream in the same order. Each cut broadcasts
+    against one row of symbols, so a cut may differ per column. Rows go in
+    chunks of at most CHUNK_ELEMENTS uniforms, so a draw holds its symbols
+    and one chunk. Each cut is one pass over the chunk: cheap for the few
+    cuts of a small alphabet, linear in their number where a search would
+    be logarithmic.
     """
     drawn = isinstance(uniforms, np.random.Generator)
-    if drawn:
-        cuts = np.ceil(np.asarray(cuts) * 2.0 ** 53).astype(np.uint64)
     out = np.zeros(shape, dtype=np.min_scalar_type(len(cuts)))
     step = max(1, min(len(out), CHUNK_ELEMENTS // math.prod(shape[1:])))
     hit = np.empty((step,) + out.shape[1:], dtype=bool)
+    if drawn:
+        buf = np.empty(hit.shape)
     for first in range(0, len(out), step):
         block = out[first:first + step]
         if drawn:
-            u = uniforms.bit_generator.random_raw(block.shape)
-            u >>= 11
+            u = uniforms.random(out=buf[:len(block)])
         else:
             u = uniforms[first:first + step]
         h = hit[:len(block)]
@@ -402,9 +400,8 @@ def _distinct_rows(codebook, base):
     176,334 binary rows of n = 12 span 4,096 keys and are never ranked; a
     wide alphabet or a codebook of fewer than base^n rows is.
     """
-    rows, n = codebook.shape
-    # int32 where the span fits: each column's pass moves half the bytes
-    keys = np.zeros(rows, dtype=np.int32 if base ** n < 2 ** 31 else np.int64)
+    rows = codebook.shape[0]
+    keys = np.zeros(rows, dtype=np.int64)
     span = 1
     for col in codebook.T:
         if span * base > np.iinfo(np.int64).max:

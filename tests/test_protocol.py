@@ -235,10 +235,10 @@ class TestReconCode:
         # the sim_long_blocks code: 176,334 rows of n = 12. Drawn at once,
         # its 2.1M float64 uniforms made generate peak at 21.2 MB. It
         # holds the uint8 codebook (W n bytes) and, while it draws, one
-        # chunk of CHUNK_ELEMENTS raw 64-bit words and bool hits (9 bytes
-        # each); while it groups the rows, their int32 keys and intp row
-        # numbers (12 W bytes). Together W (n + 12) + 9 CHUNK_ELEMENTS
-        # = 4.8 MB
+        # chunk of CHUNK_ELEMENTS float64 uniforms and bool hits (9 bytes
+        # each); while it groups the rows, their int64 keys and intp row
+        # numbers (16 W bytes). Together W (n + 16) + 9 CHUNK_ELEMENTS
+        # = 5.5 MB; it peaked at 5.0 MB
         j = BscCascadeSource(0.1, 0.5).joint()
         ReconCode.generate(j, TC_ID, n=12, epsilon=0.15, seed=20260816)
         tracemalloc.start()
@@ -250,7 +250,7 @@ class TestReconCode:
             tracemalloc.stop()
         rows, n = code.u_codebook.shape
         assert rows == 176334
-        assert peak <= rows * (n + 12) + 9 * CHUNK, peak
+        assert peak <= rows * (n + 16) + 9 * CHUNK, peak
 
     def test_v_codebook_equals_search_draw(self):
         # three V symbols, so two cuts per column, each column's from its
@@ -826,7 +826,7 @@ class TestBatchedReconcile:
 
     @pytest.mark.parametrize("blocks", [1200, 4800])
     @pytest.mark.parametrize("decoder", ["typicality", "ml"])
-    @pytest.mark.parametrize("name", ["nv2", "nv3"])
+    @pytest.mark.parametrize("name", ["no_v", "nv2", "nv3", "n12"])
     def test_peak_memory_follows_stated_bound(self, name, decoder, blocks):
         # README's bound: the chunk budget (8 CHUNK_ELEMENTS bytes), the V
         # books the call holds (one byte per symbol) and the arrays with
@@ -834,14 +834,18 @@ class TestBatchedReconcile:
         # few flags (at most 96 bytes), the int32 and int16 cell codes of
         # its inputs and its uint8 result rows (at most 16 bytes a symbol).
         # The nv3 code at ml and 1,200 blocks peaked at 602 KB, over the
-        # chunk budget alone; at 4,800 blocks every case here is over 0.9 MB
-        code = _batch_code(name)
+        # chunk budget alone; at 4,800 blocks every case here is over
+        # 0.9 MB. The no-V n = 8 code holds one all-zero book and at ml
+        # and 4,800 blocks peaked at 1,144 KB; the n = 12 code, whose
+        # encoder scans 4,096 words, at 1,317 KB
+        code = bsc_code(12) if name == "n12" else _batch_code(name)
         x, y, _ = _blocks(code.n, blocks, seed=5)
         omega, alice_nu, _ = _encode_alice(x, code)
         bob_nu, _ = _decode_u(y, omega, code, decoder)
         bins = set(zip(omega.tolist(), alice_nu.tolist())) | set(
             zip(omega.tolist(), bob_nu.tolist()))
-        books = len(bins) * code.w_k * code.w_l * code.n
+        books = ((len(bins) if code.nv_size > 1 else 1)
+                 * code.w_k * code.w_l * code.n)
         reconcile(x[:1], y[:1], code, decoder)
         tracemalloc.start()
         try:

@@ -47,8 +47,13 @@ against p_U, each V codebook column against p_{V|u} of its U symbol, the
 source against the joint's masses in flat order. A codebook's uniforms
 are drawn in chunks of CHUNK_ELEMENTS into one reused buffer, so a draw
 holds its symbols and one chunk. The distinct U words and the lowest row
-of each come from a table indexed by the words' base-|U| keys
-(_distinct_rows), without a sort.
+of each come from a table indexed by the words' base-|U| keys, without a
+sort. The U codebook is drawn chunk by chunk only until every one of the
+|U|^n words has appeared and the rows reach the end of the bin holding
+the last word's first row (_draw_u_head). Every row a run reads lies in
+that head: Alice picks first rows, Bob and Eve scan her published bin,
+and the V codebooks key off those rows. The whole codebook is drawn only
+when a row past the head is read.
 
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
@@ -67,6 +72,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,6 +215,12 @@ def _bits_per_symbol(size):
     return 0 if size <= 1 else (size - 1).bit_length()
 
 
+def _check_seed(seed):
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(
+            f"seed must be a non-negative int, got {seed!r}")
+
+
 def _check_epsilon(epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
@@ -302,6 +314,12 @@ def _count_windows(pmf_flat, eps, n):
             np.floor(n * pmf_flat * (1.0 + eps) + _COUNT_FUZZ))
 
 
+def _cell_dtype(cells):
+    """The integer dtype of flat cell codes below `cells`: int16 where
+    they fit, half the bytes of int32."""
+    return np.int16 if cells <= 1 << 15 else np.int32
+
+
 def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     """(row, found) per block among its candidate words
     table[start:start + width], start broadcasting against the leading axes
@@ -343,9 +361,7 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
         size = n if decoder == "ml" else 2 * (n + cells)
         tile = max(1, min(width, CHUNK_ELEMENTS // (2 * size)))
         step = max(1, CHUNK_ELEMENTS // (2 * tile * size))
-        # int16 cells where they fit: half the bytes of a chunk's int32
-        base = ctx.astype(np.int16 if cells <= 1 << 15 else np.int32) * sym
-        base = base[:, None, :]
+        base = np.multiply(ctx, sym, dtype=_cell_dtype(cells))[:, None, :]
         start = np.broadcast_to(start, lead).reshape(-1, 1)
     for first in range(0, width, tile):
         todo = np.flatnonzero(~found)
@@ -419,6 +435,55 @@ def _distinct_rows(codebook, base):
     return codebook[first], first
 
 
+def _draw_u_head(rng, p_u, rows, n, w_nu):
+    """(head, words, first_rows) of the (rows, n) U codebook that
+    _draw_symbols(rng, p_u, (rows, n)) draws: its leading rows, up to the
+    end of the w_nu-row bin holding the last distinct word's first row,
+    and the distinct words and the lowest row of each, as _distinct_rows
+    gives them.
+
+    The rows are drawn chunk by chunk, CHUNK_ELEMENTS symbols at a time,
+    which is the same stream in the same order, and each chunk's rows are
+    keyed column by column into a table of the |U|^n keys. Once every key
+    has a first row, keying stops, and the draw stops at that bin's end.
+    When not every word appears, the head is the whole codebook. When
+    |U|^n exceeds the rows, not every word can appear: the codebook is
+    drawn whole and grouped by _distinct_rows, which ranks wide keys.
+    """
+    base = len(p_u)
+    span = base ** n
+    if span > rows:
+        codebook = _draw_symbols(rng, p_u, (rows, n))
+        return (codebook,) + _distinct_rows(codebook, base)
+    step = max(1, min(rows, CHUNK_ELEMENTS // n))
+    first = np.full(span, rows)  # lowest row of each key; rows: none yet
+    chunks, firsts = [], []
+    drawn, seen, end = 0, 0, rows
+    while drawn < end:
+        block = _draw_symbols(rng, p_u, (min(step, rows - drawn), n))
+        chunks.append(block)
+        if seen < span:
+            # keys < span <= rows <= MAX_U_CODEWORDS fit an int32
+            keys = np.zeros(len(block), dtype=np.int32)
+            for col in block.T:
+                keys *= base
+                keys += col
+            # the rows whose word has no first row yet
+            at = np.flatnonzero(first[keys] == rows)
+            keys = keys[at]
+            at += drawn
+            np.minimum.at(first, keys, at)
+            new = at[first[keys] == at]
+            firsts.append(new)
+            seen += len(new)
+            if seen == span:
+                end = (int(new[-1]) // w_nu + 1) * w_nu
+        drawn += len(block)
+    head = np.concatenate(chunks)[:end]
+    first_rows = np.concatenate(firsts)
+    return head, head[first_rows], first_rows
+
+
 def _conditional(num, den, fallback):
     """num / den where den > 0 and fallback elsewhere; den broadcasts
     against num."""
@@ -433,13 +498,16 @@ def _log_table(p):
 class ReconCode:
     """Fixed random code for one experiment.
 
-    The U codebook is materialized (row r = pair (omega, nu) with
-    r = omega * w_nu + nu, so row order is the lexicographic pair order),
-    drawn from stream (seed, 0) in chunks, the bytes of Generator.choice.
-    Next to it sit its distinct words and the lowest row of each, taken
-    from a table over the words' keys, which the encoder scans for every
-    block (_pick's shared case): at most min(W, |U|^n) words instead of
-    all W rows. Every typicality test of the U layer uses the slack eps,
+    The U codebook (row r = pair (omega, nu) with r = omega * w_nu + nu,
+    so row order is the lexicographic pair order) is drawn from stream
+    (seed, 0) in chunks, the bytes of Generator.choice. generate keeps
+    only its head (_draw_u_head): the whole bins up to the one holding the
+    last distinct word's first row, every row that a run reads. Next to it
+    sit the distinct words and the lowest row of each, which the encoder
+    scans for every block (_pick's shared case): at most min(W, |U|^n)
+    words instead of all W rows. u_codebook, all W rows, is drawn on its
+    first read and kept; u_rows gives the head whenever it holds the bins
+    asked for. Every typicality test of the U layer uses the slack eps,
     the V layer's uses eps2 = 2 eps.
     V codebooks are per-(omega, nu) and are regenerated on demand from
     their own stream key, which keeps them fixed across trials without
@@ -457,7 +525,8 @@ class ReconCode:
     w_l: int
     tc_rows: np.ndarray
     v_given_yu: np.ndarray          # (ny, nu, nv); nv = 1 means no V layer
-    u_codebook: np.ndarray          # (w_u * w_nu, n) symbols of U
+    p_u: np.ndarray                 # (nu,) pmf of the U codebook's symbols
+    u_head: np.ndarray              # (H, n) leading rows of u_codebook
     u_words: np.ndarray             # (D, n) distinct rows of u_codebook
     u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
     pmf_xu: np.ndarray              # flat typicality references
@@ -481,11 +550,28 @@ class ReconCode:
     def eps2(self):
         return 2.0 * self.eps
 
+    @cached_property
+    def u_codebook(self):
+        """(w_u * w_nu, n) symbols of U: the head when it holds every row,
+        else the whole draw, made on the first read."""
+        rows = self.w_u * self.w_nu
+        if len(self.u_head) == rows:
+            return self.u_head
+        return _draw_symbols(_stream(self.seed, 0), self.p_u, (rows, self.n))
+
+    def u_rows(self, omega_idx):
+        """Rows of the U codebook holding the bins omega_idx: the head
+        when it reaches their end, else the whole codebook."""
+        if (int(np.max(omega_idx)) + 1) * self.w_nu <= len(self.u_head):
+            return self.u_head
+        return self.u_codebook
+
     @classmethod
     def generate(cls, j, tc_u, n, epsilon, seed, v_given_yu=None,
                  rates=None):
         _check_block_length(n)
         _check_epsilon(epsilon)
+        _check_seed(seed)
         nx, ny, _ = j.dims
         if tc_u.rows.shape[0] != nx:
             raise ParameterError(
@@ -537,13 +623,13 @@ class ReconCode:
         cond_v_xu = _conditional(
             p_xuv, p_xuv.sum(axis=2, keepdims=True), 1.0 / nv)
 
-        u_codebook = _draw_symbols(_stream(seed, 0), p_u, (w_u * w_nu, n))
-        u_words, u_first_rows = _distinct_rows(u_codebook, nu)
+        u_head, u_words, u_first_rows = _draw_u_head(
+            _stream(seed, 0), p_u, w_u * w_nu, n, w_nu)
 
         return cls(
-            n=n, seed=int(seed), eps=epsilon, rates=rates, w_u=w_u,
+            n=n, seed=seed, eps=epsilon, rates=rates, w_u=w_u,
             w_nu=w_nu, w_k=w_k, w_l=w_l, tc_rows=tc_u.rows,
-            v_given_yu=v_given_yu, u_codebook=u_codebook, u_words=u_words,
+            v_given_yu=v_given_yu, p_u=p_u, u_head=u_head, u_words=u_words,
             u_first_rows=u_first_rows,
             pmf_xu=p_xu.ravel(), pmf_yu=p_yu.ravel(),
             pmf_uyv=p_uyv.ravel(), pmf_xuv=p_xuv.ravel(),
@@ -559,7 +645,7 @@ class ReconCode:
         (nv = 1) every symbol is 0."""
         if self.nv_size == 1:
             return np.zeros((self.w_k * self.w_l, self.n), dtype=np.uint8)
-        u_row = self.u_codebook[omega_idx * self.w_nu + nu_idx]
+        u_row = self.u_rows(omega_idx)[omega_idx * self.w_nu + nu_idx]
         # column i counts its uniforms against the cuts of p_{V|u_i}
         return _count_cuts(_stream(self.seed, 2, omega_idx, nu_idx),
                            self.p_v_cum_by_u[u_row, :-1].T,
@@ -599,7 +685,7 @@ def _encode_alice(x, code):
 
 def _decode_u(y, omega_idx, code, decoder):
     """Bob's (nu, found) per block, within its public bin omega."""
-    return _pick(y, code.v_given_yu.shape[0], code.u_codebook,
+    return _pick(y, code.v_given_yu.shape[0], code.u_rows(omega_idx),
                  omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
                  code.ll_y_given_u, code.eps, decoder)
 
@@ -623,9 +709,11 @@ def _cover_v(y, shat_u, books, first, code, decoder):
     """Bob's (k, v) per block: the V codeword of his bin's codebook (table
     rows from `first`) that covers (u, y)."""
     ny = code.v_given_yu.shape[0]
-    flat, _ = _pick(shat_u.astype(np.int32) * ny + y, code.nu_size * ny,
-                    books, first, code.w_k * code.w_l, code.pmf_uyv,
-                    code.ll_v_given_uy, code.eps2, decoder)
+    ctx = np.multiply(shat_u, ny, dtype=_cell_dtype(code.pmf_uyv.size))
+    ctx += y
+    flat, _ = _pick(ctx, code.nu_size * ny, books, first,
+                    code.w_k * code.w_l, code.pmf_uyv, code.ll_v_given_uy,
+                    code.eps2, decoder)
     return flat // code.w_l, books[first + flat]
 
 
@@ -634,7 +722,7 @@ def _decode_bob(y, omega_idx, code, decoder):
     then cover (u, y) with a V codeword. Also the eavesdropper's procedure
     when run on z. Returns (shat_u, nu, k, shat_v, found) per block."""
     nu_idx, found = _decode_u(y, omega_idx, code, decoder)
-    shat_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
+    shat_u = code.u_rows(omega_idx)[omega_idx * code.w_nu + nu_idx]
     books, first = _v_books(code, omega_idx, nu_idx)
     k_idx, shat_v = _cover_v(y, shat_u, books, first, code, decoder)
     return shat_u, nu_idx, k_idx, shat_v, found
@@ -644,9 +732,10 @@ def _recover_alice(x, s_u, books, first, k_idx, code, decoder):
     """Alice's V estimate per block, picked among the w_l codewords of
     Bob's k group in her bin's codebook (table rows from `first`)."""
     start = first + k_idx * code.w_l
-    l_idx, _ = _pick(x.astype(np.int32) * code.nu_size + s_u,
-                     code.pmf_xu.size, books, start, code.w_l, code.pmf_xuv,
-                     code.ll_v_given_xu, code.eps2, decoder)
+    ctx = np.multiply(x, code.nu_size, dtype=_cell_dtype(code.pmf_xuv.size))
+    ctx += s_u
+    l_idx, _ = _pick(ctx, code.pmf_xu.size, books, start, code.w_l,
+                     code.pmf_xuv, code.ll_v_given_xu, code.eps2, decoder)
     return books[start + l_idx]
 
 
@@ -678,9 +767,10 @@ def reconcile(x, y, code, decoder="typicality"):
             raise ParameterError(
                 f"{name} must hold integer symbols in [0, {size})")
     omega_idx, nu_idx, alice_found = _encode_alice(x, code)
-    s_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
+    u_rows = code.u_rows(omega_idx)  # the head: Alice picks first rows
+    s_u = u_rows[omega_idx * code.w_nu + nu_idx]
     bob_nu, bob_found = _decode_u(y, omega_idx, code, decoder)
-    shat_u = code.u_codebook[omega_idx * code.w_nu + bob_nu]
+    shat_u = u_rows[omega_idx * code.w_nu + bob_nu]
     # one table for both parties' bins; Alice recovers inside hers
     books, first = _v_books(code, np.stack([omega_idx, omega_idx]),
                             np.stack([nu_idx, bob_nu]))
@@ -706,8 +796,10 @@ def sample_source(j, n, seed):
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"sample count must be a positive int, got "
                              f"{n!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else _stream(seed)
-    return _source_symbols(j, rng.random(n))
+    if not isinstance(seed, np.random.Generator):
+        _check_seed(seed)
+        seed = _stream(seed)
+    return _source_symbols(j, seed.random(n))
 
 
 def _pack_bits(bits):
@@ -780,9 +872,7 @@ class ProtocolParams:
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError(
                 f"trials must be a positive int, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ParameterError(
-                f"seed must be a non-negative int, got {self.seed!r}")
+        _check_seed(self.seed)
         _check_decoder(self.decoder)
 
 

@@ -21,6 +21,7 @@ import leakage_oracle
 import reconcile_oracle as oracle
 from seqkey import protocol
 from seqkey.binary import BscCascadeSource
+from seqkey.cli import demo_config_path, read_config
 from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.measures import DiscreteJoint, joint_from_cascade
 from seqkey.optimizer import TestChannel
@@ -207,6 +208,60 @@ class TestReconCode:
         assert np.array_equal(code.u_words, words[order])
         assert len(code.u_first_rows) == 1 << 12
 
+    @pytest.mark.parametrize("make", [
+        lambda: bsc_code(4), lambda: bsc_code(8), lambda: bsc_code(12),
+        lambda: bsc_code(14),
+        # bins of 11,586 rows straddle the 6,553-row chunks
+        under_rate_code,
+        # p_U = (0.7, 0.3): 50,486 rows miss some of the 4,096 words
+        lambda: ReconCode.generate(BscCascadeSource(0.1, 0.5, prior=0.3)
+                                   .joint(), TC_ID, n=12, epsilon=0.15,
+                                   seed=1),
+        # |U| = 3 with no mass on U = 2: 4,096 rows, 729 keys
+        lambda: ReconCode.generate(
+            TERNARY_J, TestChannel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0],
+                                    [0.6, 0.4, 0.0]]),
+            n=6, epsilon=0.15, seed=2, rates=Rates(
+                r_u=1.5, r_u_prime=0.5, r_v=0.0, r_v_prime=0.0)),
+        # 512 rows, fewer than the 4,096 words
+        lambda: bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25,
+                                                 r_v=0.0, r_v_prime=0.0)),
+    ], ids=["n4", "n8", "n12", "n14", "under_rate", "skewed_p_u",
+            "zero_mass_u", "rows_below_words"])
+    def test_head_holds_every_first_row(self, make):
+        code = make()
+        rows = code.w_u * code.w_nu
+        words, first = _distinct_rows(code.u_codebook, code.nu_size)
+        assert np.array_equal(code.u_words, words)
+        assert np.array_equal(code.u_first_rows, first)
+        head = len(code.u_head)
+        assert np.array_equal(code.u_head, code.u_codebook[:head])
+        # whole bins up to the one holding the last first row, or every
+        # row when some word never appears
+        last_bin_end = (first[-1] // code.w_nu + 1) * code.w_nu
+        if len(first) == code.nu_size ** code.n:
+            assert head == last_bin_end
+        else:
+            assert head == rows
+        # the bins the head holds are read from it
+        assert code.u_rows(head // code.w_nu - 1) is code.u_head
+        if head < rows:
+            assert code.u_rows(head // code.w_nu) is code.u_codebook
+
+    @pytest.mark.parametrize("decoder", ["typicality", "ml"])
+    def test_bins_past_the_head_are_decoded(self, decoder):
+        # Bob's procedure on bins no encoder output points at: the first
+        # and the last bin of the sim_long_blocks code
+        code = bsc_code(12, seed=20260816)
+        assert len(code.u_head) < code.w_u * code.w_nu
+        omega = np.array([0, code.w_u - 1])
+        y = _blocks(12, 2, seed=1)[1]
+        got = _decode_bob(y, omega, code, decoder)
+        for b in range(2):
+            want = oracle.decode_bob(y[b], omega[b], code, decoder)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[b], w)
+
     @pytest.mark.parametrize("n", range(4, 15))
     def test_distinct_rows_table_over_keys(self, n):
         # 20,000 binary rows span at most 2^14 keys, no more than the rows:
@@ -233,12 +288,14 @@ class TestReconCode:
 
     def test_generate_peak_memory(self):
         # the sim_long_blocks code: 176,334 rows of n = 12. Drawn at once,
-        # its 2.1M float64 uniforms made generate peak at 21.2 MB. It
-        # holds the uint8 codebook (W n bytes) and, while it draws, one
-        # chunk of CHUNK_ELEMENTS float64 uniforms and bool hits (9 bytes
-        # each); while it groups the rows, their int64 keys and intp row
-        # numbers (16 W bytes). Together W (n + 16) + 9 CHUNK_ELEMENTS
-        # = 5.5 MB; it peaked at 5.0 MB
+        # its 2.1M float64 uniforms made generate peak at 21.2 MB, and
+        # drawn whole in chunks at 5.0 MB. It now draws only the head of
+        # H rows (the bins up to the last distinct word's first row): it
+        # holds the head's uint8 chunks (H n bytes) and, while it draws,
+        # one chunk of CHUNK_ELEMENTS float64 uniforms and bool hits (9
+        # bytes each), the chunk's keys and the 4,096-key table; the
+        # chunks are joined into one array at the end (2 H n bytes).
+        # Together within H (n + 16) + 9 CHUNK_ELEMENTS
         j = BscCascadeSource(0.1, 0.5).joint()
         ReconCode.generate(j, TC_ID, n=12, epsilon=0.15, seed=20260816)
         tracemalloc.start()
@@ -250,7 +307,8 @@ class TestReconCode:
             tracemalloc.stop()
         rows, n = code.u_codebook.shape
         assert rows == 176334
-        assert peak <= rows * (n + 16) + 9 * CHUNK, peak
+        head = len(code.u_head)
+        assert peak <= head * (n + 16) + 9 * CHUNK, (peak, head)
 
     def test_v_codebook_equals_search_draw(self):
         # three V symbols, so two cuts per column, each column's from its
@@ -1021,6 +1079,19 @@ class TestProtocolParams:
                 call()
             assert str(from_params.value) == str(from_call.value)
 
+    @pytest.mark.parametrize("bad", [1.7, 2.9, True, -1])
+    def test_seeds_fail_loudly_everywhere(self, bad):
+        # generate and sample_source took int(seed), so 1.7 and True ran
+        # as seed 1, and -1 escaped as numpy's bare ValueError
+        good = dict(n=8, m=1, k=4, epsilon=0.15, trials=10)
+        with pytest.raises(ParameterError) as from_params:
+            ProtocolParams(seed=bad, **good)
+        for call in (lambda: bsc_code(8, seed=bad),
+                     lambda: sample_source(J_BSC, 8, bad)):
+            with pytest.raises(ParameterError) as from_call:
+                call()
+            assert str(from_call.value) == str(from_params.value)
+
     def test_seed_must_be_non_negative_int(self):
         # a negative seed used to reach numpy's SeedSequence and raise
         # ValueError there
@@ -1036,6 +1107,29 @@ class TestRunExperiment:
                                 seed=17)
         assert run_experiment(J_BSC, TC_ID, params) == run_experiment(
             J_BSC, TC_ID, params)
+
+    @pytest.mark.parametrize("trials", [10, None])
+    def test_runs_never_draw_the_whole_u_codebook(self, trials,
+                                                  monkeypatch):
+        # the demo config, and with 10 trials the sim_long_blocks
+        # benchmark's: every row a run reads lies in the head
+        cfg = read_config(demo_config_path())
+        codes = []
+        generate = ReconCode.generate
+
+        def keep(*args, **kwargs):
+            codes.append(generate(*args, **kwargs))
+            return codes[-1]
+
+        monkeypatch.setattr(ReconCode, "generate", keep)
+        j = BscCascadeSource(cfg["p"], cfg["q"], prior=cfg["prior"]).joint()
+        run_experiment(j, TC_ID, ProtocolParams(
+            n=cfg["n"], m=cfg["m"], k=cfg["k"], epsilon=cfg["epsilon"],
+            trials=trials or cfg["trials"], seed=cfg["seed"],
+            decoder=cfg["decoder"]))
+        (code,) = codes
+        assert len(code.u_head) < code.w_u * code.w_nu == 176334
+        assert "u_codebook" not in vars(code)
 
     def test_eavesdropper_alphabet_must_match_y(self):
         j = joint_from_cascade([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]],

@@ -468,10 +468,12 @@ def _draw_u_head(rng, p_u, rows, n, w_nu):
             for col in block.T:
                 keys *= base
                 keys += col
-            # the rows whose word has no first row yet
-            at = np.flatnonzero(first[keys] == rows)
-            keys = keys[at]
-            at += drawn
+            if seen:  # past the first chunk, the rows of unseen words
+                at = np.flatnonzero(first[keys] == rows)
+                keys = keys[at]
+                at += drawn
+            else:
+                at = np.arange(drawn, drawn + len(block))
             np.minimum.at(first, keys, at)
             new = at[first[keys] == at]
             firsts.append(new)

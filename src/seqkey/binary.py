@@ -28,6 +28,7 @@ from seqkey.measures import (
     LN2,
     binary_entropy,
     bisect,
+    check_int,
     check_prob,
     check_rate,
     conditional_entropy,
@@ -135,6 +136,34 @@ def _optimized(joint, points):
     return values
 
 
+def _bsc_point(src, r1):
+    """(c_rec, c_wsk, beta0) of the cascade at the uniform prior.
+
+    One beta0_solve serves both capacities and the column. Outside the
+    binding constraint beta0 is the attaining channel: 0 (the identity)
+    for a noiseless pair or a rate above H_b(p), 1/2 (the useless channel)
+    for p = 1/2 or r1 = 0. At r1 = H_b(p) exactly it is the bisection's
+    root, while the capacities take their saturated values.
+    """
+    pp = min(src.p, 1.0 - src.p)  # relabeling Y maps p to 1-p, capacities agree
+    qq = min(src.q, 1.0 - src.q)
+    h = binary_entropy(pp)
+    if pp == 0.5 or (r1 == 0.0 and pp > 0.0):
+        beta = 0.5
+    elif pp == 0.0 or r1 > h:
+        beta = 0.0
+    else:
+        beta, _ = beta0_solve(pp, r1)
+    if r1 >= h:
+        e = pp
+    elif r1 == 0.0 or pp == 0.5:
+        return 0.0, 0.0, beta
+    else:
+        e = star(pp, beta)
+    return (1.0 - binary_entropy(e),
+            binary_entropy(star(e, qq)) - binary_entropy(e), beta)
+
+
 def c_rec_bsc(src, r1):
     """Rate-limited reconciliation capacity of the BSC cascade, in bits.
 
@@ -144,13 +173,7 @@ def c_rec_bsc(src, r1):
     r1 = check_rate(r1)
     if src.prior != 0.5:
         return _optimized(src.joint(), [(r1, "rec")])[0]
-    pp = min(src.p, 1.0 - src.p)  # relabeling Y maps p to 1-p, capacities agree
-    if r1 >= binary_entropy(pp):
-        return 1.0 - binary_entropy(pp)
-    if r1 == 0.0 or pp == 0.5:
-        return 0.0
-    beta, _ = beta0_solve(pp, r1)
-    return 1.0 - binary_entropy(star(pp, beta))
+    return _bsc_point(src, r1)[0]
 
 
 def c_wsk_bsc(src, r1):
@@ -163,15 +186,7 @@ def c_wsk_bsc(src, r1):
     r1 = check_rate(r1)
     if src.prior != 0.5:
         return _optimized(src.joint(), [(r1, "wsk")])[0]
-    pp = min(src.p, 1.0 - src.p)
-    qq = min(src.q, 1.0 - src.q)
-    if r1 >= binary_entropy(pp):
-        return binary_entropy(star(pp, qq)) - binary_entropy(pp)
-    if r1 == 0.0 or pp == 0.5:
-        return 0.0
-    beta, _ = beta0_solve(pp, r1)
-    e = star(pp, beta)
-    return binary_entropy(star(e, qq)) - binary_entropy(e)
+    return _bsc_point(src, r1)[1]
 
 
 def c_wsk_bec(src, epsilon, r1):
@@ -186,27 +201,30 @@ def c_wsk_bec(src, epsilon, r1):
 
 
 def capacity_curves(src, rates, erasure=None):
-    """The (c_rec, c_wsk) columns of a capacity curve, as two lists.
+    """The (c_rec, c_wsk, beta0) columns of a capacity curve, as lists.
 
     c_rec_bsc at every rate, and c_wsk_bsc or, with ``erasure``,
     c_wsk_bec(src, erasure, r1), with the values the point-by-point calls
-    give. A non-uniform prior solves every rec point once and every wsk
-    point that needs it in one optimizer sweep.
+    give. At the uniform prior each rate solves beta0 once for all three
+    columns (see _bsc_point); a non-uniform prior has no closed form, so
+    its beta0 column is NaN, and it solves every rec point once and every
+    wsk point that needs it in one optimizer sweep.
     """
     if erasure is not None:
         erasure = check_prob(erasure, "epsilon")
     rates = [check_rate(r1) for r1 in rates]
-    objectives = ("rec",) if erasure is not None else ("rec", "wsk")
     if src.prior != 0.5:
+        objectives = ("rec",) if erasure is not None else ("rec", "wsk")
         values = _optimized(src.joint(),
                             [(r1, o) for o in objectives for r1 in rates])
+        rec, wsk = values[:len(rates)], values[len(rates):]
+        beta = [math.nan] * len(rates)
     else:
-        closed = {"rec": c_rec_bsc, "wsk": c_wsk_bsc}
-        values = [closed[o](src, r1) for o in objectives for r1 in rates]
-    rec, wsk = values[:len(rates)], values[len(rates):]
+        points = [_bsc_point(src, r1) for r1 in rates]
+        rec, wsk, beta = ([pt[i] for pt in points] for i in range(3))
     if erasure is not None:
         wsk = [erasure * value for value in rec]
-    return rec, wsk
+    return rec, wsk, beta
 
 
 @dataclass(frozen=True)
@@ -437,8 +455,7 @@ def counterexample_solve(src, r1, grid=512):
     if not 0.0 < r1 < hxy:
         raise ParameterError(
             f"rate must lie strictly inside (0, H(X|Y)) = (0, {hxy}), got {r1!r}")
-    if not isinstance(grid, (int, np.integer)) or grid < 2:
-        raise ParameterError(f"grid needs at least 2 points, got {grid!r}")
+    grid = check_int(grid, "grid", 2)
 
     @functools.cache  # both objectives re-check the same grid points
     def on_curve(a1):

@@ -43,17 +43,12 @@ from seqkey import __version__
 from seqkey.binary import (
     AsymBinarySource,
     BscCascadeSource,
-    beta0_solve,
     capacity_curves,
     counterexample_solve,
 )
-from seqkey.errors import (
-    ConvergenceError,
-    InfeasibleError,
-    ParameterError,
-    RateSaturated,
-)
+from seqkey.errors import ConvergenceError, InfeasibleError, ParameterError
 from seqkey.gaussian import GaussianSource, c_rec_gauss, c_wsk_gauss, sigma0
+from seqkey.measures import check_int
 from seqkey.optimizer import OptimizerOptions, TestChannel, optimize_oneway
 from seqkey.protocol import ProtocolParams, Rates, run_experiment
 from seqkey.quantize import bound_check, optimize_partition, partition_rate
@@ -80,8 +75,7 @@ def parse_grid(spec):
         points = int(parts[3])
     except ValueError as exc:
         raise ParameterError(f"grid {spec!r}: {exc}") from None
-    if points < 2:
-        raise ParameterError(f"grid needs at least 2 points, got {points}")
+    check_int(points, "grid points", 2)
     if not start < stop:
         raise ParameterError(
             f"grid start must be below stop, got {start!r} >= {stop!r}")
@@ -149,30 +143,13 @@ def _emit(text, path):
 
 # ------------------------------------------------------------ capacity
 
-def _beta0_column(p, r1):
-    # constraint inactive, zero rate or degenerate crossover: report the
-    # attaining channel directly instead of failing the whole sweep (at
-    # r1 = 0 that is the useless channel, beta = 1/2)
-    pp = min(p, 1.0 - p)
-    if pp == 0.0:
-        return 0.0
-    if pp == 0.5 or r1 == 0.0:
-        return 0.5
-    try:
-        beta, _ = beta0_solve(pp, r1)
-    except RateSaturated:
-        return 0.0
-    return beta
-
-
 def cmd_capacity_binary(args):
     # the erasure bound never consults q; bec fixes it at the blind value
     bec = args.model == "bec"
     src = BscCascadeSource(args.p, 0.5 if bec else args.q, prior=args.prior)
     grid = parse_grid(args.r1)
-    rec, wsk = capacity_curves(src, grid, args.erasure if bec else None)
-    beta = [_beta0_column(args.p, r1) if args.prior == 0.5 else math.nan
-            for r1 in grid]
+    rec, wsk, beta = capacity_curves(src, grid,
+                                     args.erasure if bec else None)
     rows = list(zip(grid, rec, wsk, beta))
     _emit(curve_text(("r1_bits", "c_rec_bits", "c_wsk_bits", "beta0"), rows),
           args.output)
@@ -258,10 +235,8 @@ def cmd_quantize_uniform(args):
 
 def cmd_quantize_partition(args):
     src = GaussianSource(rho_xy=args.rho_xy, sigma_x=args.sigma_x)
-    if not 2 <= args.l_min <= args.l_max <= 15:
-        raise ParameterError(
-            f"cell range must satisfy 2 <= l_min <= l_max <= 15, "
-            f"got [{args.l_min}, {args.l_max}]")
+    l_min = check_int(args.l_min, "l_min", 2, 15)
+    check_int(args.l_max, "l_max", l_min, 15)
 
     def point(cells):
         part, mi = optimize_partition(src, cells)

@@ -49,8 +49,9 @@ class GaussianSource:
             r = float(getattr(self, name))
             if math.isnan(r) or not -1.0 <= r <= 1.0:
                 raise ParameterError(f"{name} must lie in [-1, 1], got {r!r}")
-        if not self.sigma_x > 0.0:
-            raise ParameterError(f"sigma_x must be > 0, got {self.sigma_x!r}")
+        if not 0.0 < self.sigma_x < math.inf:
+            raise ParameterError(
+                f"sigma_x must be finite and > 0, got {self.sigma_x!r}")
         if self.correlation_det() < -1e-12:
             raise ParameterError(
                 "correlation coefficients do not form a positive semidefinite "

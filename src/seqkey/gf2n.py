@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from seqkey.errors import ParameterError
+from seqkey.measures import check_int
 
 # N -> exponents of the middle terms of f(x); x^N and 1 are implicit
 POLY_TAPS = {
@@ -36,9 +37,7 @@ POLY_TAPS = {
 
 def modulus(n):
     """Field polynomial of GF(2^n) as an int with bit i for x^i."""
-    if n not in POLY_TAPS:
-        raise ParameterError(
-            f"field size must be in [8, 64], got {n!r}")
+    n = check_int(n, "field size", 8, 64)
     f = (1 << n) | 1
     for k in POLY_TAPS[n]:
         f |= 1 << k
@@ -72,6 +71,7 @@ def gf_mul(a, b, n):
     reads the top bit before each shift, so every intermediate stays
     below 2^n and n = 64 fits in uint64.
     """
+    n = check_int(n, "field size", 8, 64)
     f = modulus(n)
     a = _elements(a, n, "a")
     b = _elements(b, n, "b")

@@ -20,8 +20,11 @@ by index (``0``, ``(1, 2)``).
 
 The numeric primitives the other modules share have their only
 implementation here: ``xlogx`` and ``entropy_nats`` (the entropy kernel),
-``bisect`` (bisection, one root or one per array element) and
-``check_rate`` (public-rate validation).
+``bisect`` (bisection, one root or one per array element), and the
+acceptance checks of the package's inputs: ``check_rate`` (public rates),
+``check_stochastic`` (every pmf and channel, the rule above) and
+``check_int`` (every integer parameter: a Python or numpy int, never a
+bool, within a range).
 """
 
 from __future__ import annotations
@@ -166,15 +169,52 @@ def inverse_binary_entropy(h):
     return bisect(lambda p: binary_entropy(p) < h, 0.0, 0.5)
 
 
-def _clipped(arr):
-    """arr with float dust below zero set to 0; non-finite masses and
-    masses below -SUM_TOL are rejected."""
+def check_stochastic(masses, name, axis=None, shape=None):
+    """``masses`` as a read-only float array of pmfs along ``axis``.
+
+    Every slice along ``axis`` (the whole array when None) must sum to 1
+    within SUM_TOL. Masses must be finite; negative float dust above
+    -SUM_TOL is clipped to zero and anything more negative is rejected.
+    ``shape``, when given, fixes the number of axes: its int entries fix
+    those lengths, and any other entry (a label such as ``"|U|"``) leaves
+    its length free. Raises ParameterError naming ``name``.
+    """
+    arr = np.asarray(masses, dtype=float)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            isinstance(want, int) and want != got
+            for want, got in zip(shape, arr.shape))):
+        dims = ", ".join(map(str, shape))
+        raise ParameterError(
+            f"{name} must be shaped ({dims}), got {arr.shape}")
+    if arr.size == 0:
+        raise ParameterError(f"{name} holds no mass")
     if not np.isfinite(arr).all():
-        raise ParameterError("probability masses must be finite")
-    low = float(arr.min()) if arr.size else 0.0
+        raise ParameterError(f"{name} masses must be finite")
+    low = float(arr.min())
     if low < -SUM_TOL:
-        raise ParameterError(f"negative probability mass {low!r}")
-    return np.where(arr > 0.0, arr, 0.0)
+        raise ParameterError(f"{name} has a negative mass {low!r}")
+    arr = np.where(arr > 0.0, arr, 0.0)
+    sums = np.ravel(arr.sum(axis=axis))
+    worst = float(sums[np.argmax(np.abs(sums - 1.0))])
+    if abs(worst - 1.0) > SUM_TOL:
+        raise ParameterError(
+            f"{name} sums to {worst!r}; expected 1 within {SUM_TOL}")
+    arr.flags.writeable = False
+    return arr
+
+
+def check_int(value, name, lo=0, hi=None):
+    """``value`` as a Python int, once it is a Python or numpy int (never
+    a bool) in [lo, hi], or at least lo when ``hi`` is None. Raises
+    ParameterError naming ``name``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    if hi is not None:
+        want = f"an int in [{lo}, {hi}]"
+    else:
+        want = "a non-negative int" if lo == 0 else f"an int of at least {lo}"
+    raise ParameterError(f"{name} must be {want}, got {value!r}")
 
 
 class DiscreteDist:
@@ -183,16 +223,8 @@ class DiscreteDist:
     __slots__ = ("masses",)
 
     def __init__(self, masses):
-        arr = np.array(masses, dtype=float).reshape(-1)
-        if arr.size == 0:
-            raise ParameterError("a distribution needs at least one symbol")
-        arr = _clipped(arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ParameterError(
-                f"masses sum to {total!r}; expected 1 within {SUM_TOL}")
-        arr.flags.writeable = False
-        self.masses = arr
+        self.masses = check_stochastic(
+            np.asarray(masses, dtype=float).reshape(-1), "distribution")
 
     def __len__(self):
         return self.masses.size
@@ -211,19 +243,11 @@ class DiscreteJoint:
     __slots__ = ("masses",)
 
     def __init__(self, masses):
-        arr = np.array(masses, dtype=float)
+        arr = np.asarray(masses, dtype=float)
         if arr.ndim == 2:
             arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ParameterError(
-                f"a joint must be 2-D or 3-D, got shape {arr.shape}")
-        arr = _clipped(arr)
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ParameterError(
-                f"masses sum to {total!r}; expected 1 within {SUM_TOL}")
-        arr.flags.writeable = False
-        self.masses = arr
+        self.masses = check_stochastic(arr, "joint",
+                                       shape=("|X|", "|Y|", "|Z|"))
 
     @property
     def dims(self):
@@ -349,16 +373,12 @@ def joint_from_cascade(p_x, p_y_given_x, p_z_given_y=None):
     construction is degraded by definition, which makes it the standard way
     to build sources for the closed-form capacity paths.
     """
-    px = np.asarray(p_x, dtype=float).reshape(-1)
-    ch1 = np.asarray(p_y_given_x, dtype=float)
-    if ch1.ndim != 2 or ch1.shape[0] != px.size:
-        raise ParameterError(
-            f"channel X->Y must be ({px.size}, |Y|), got shape {ch1.shape}")
+    px = DiscreteDist(p_x).masses
+    ch1 = check_stochastic(p_y_given_x, "channel X->Y", axis=1,
+                           shape=(px.size, "|Y|"))
     pxy = px[:, None] * ch1
     if p_z_given_y is None:
         return DiscreteJoint(pxy)
-    ch2 = np.asarray(p_z_given_y, dtype=float)
-    if ch2.ndim != 2 or ch2.shape[0] != ch1.shape[1]:
-        raise ParameterError(
-            f"channel Y->Z must be ({ch1.shape[1]}, |Z|), got shape {ch2.shape}")
+    ch2 = check_stochastic(p_z_given_y, "channel Y->Z", axis=1,
+                           shape=(ch1.shape[1], "|Z|"))
     return DiscreteJoint(pxy[:, :, None] * ch2[None, :, :])

@@ -59,12 +59,12 @@ from seqkey.errors import ConvergenceError, ParameterError
 from seqkey.measures import (
     BITS,
     LN2,
-    SUM_TOL,
     ZERO_MASS,
     DiscreteJoint,
-    _clipped,
     bisect,
+    check_int,
     check_rate,
+    check_stochastic,
     conditional_entropy,
     entropy_nats,
     xlogx,
@@ -89,19 +89,12 @@ class TestChannel:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 2:
-            raise ParameterError(f"test channel must be 2-D, got shape {arr.shape}")
+        arr = check_stochastic(rows, "test channel", axis=1,
+                               shape=("|X|", "|U|"))
         if arr.shape[1] > arr.shape[0]:
             raise ParameterError(
                 f"|U| = {arr.shape[1]} exceeds |X| = {arr.shape[0]}; the "
                 "capacity problems never need a larger auxiliary alphabet")
-        arr = _clipped(arr)
-        sums = arr.sum(axis=1)
-        if np.abs(sums - 1.0).max() > SUM_TOL:
-            raise ParameterError(
-                f"rows must sum to 1 within {SUM_TOL}; sums are {sums.tolist()!r}")
-        arr.flags.writeable = False
         self.rows = arr
 
     @property
@@ -138,9 +131,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isinstance(value, int) or value < 0:
-                raise ParameterError(
-                    f"{name} must be a non-negative int, got {value!r}")
+            object.__setattr__(self, name, check_int(value, name))
 
 
 @dataclass(frozen=True)
@@ -243,9 +234,8 @@ def _value_bits(tc, pre, objective):
 def _check_pair(j, tc):
     if not isinstance(j, DiscreteJoint):
         j = DiscreteJoint(j)
-    if tc.rows.shape[0] != j.dims[0]:
-        raise ParameterError(
-            f"channel has {tc.rows.shape[0]} rows but |X| = {j.dims[0]}")
+    check_stochastic(tc.rows, "test channel", axis=1,
+                     shape=(j.dims[0], "|U|"))
     return j
 
 
@@ -626,19 +616,8 @@ class TwoWayChannels:
     v_given_yu: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.v_given_yu, dtype=float)
-        if arr.ndim != 3:
-            raise ParameterError(
-                f"v channel must be (|Y|, |U|, |V|), got shape {arr.shape}")
-        arr = _clipped(arr)
-        sums = arr.sum(axis=2)
-        if np.abs(sums - 1.0).max() > SUM_TOL:
-            raise ParameterError("v channel rows must sum to 1")
-        if arr.shape[1] != self.u_channel.u_size:
-            raise ParameterError(
-                f"v channel indexes {arr.shape[1]} u symbols but |U| = "
-                f"{self.u_channel.u_size}")
-        arr.flags.writeable = False
+        arr = check_stochastic(self.v_given_yu, "v channel", axis=2,
+                               shape=("|Y|", self.u_channel.u_size, "|V|"))
         object.__setattr__(self, "v_given_yu", arr)
 
 
@@ -655,14 +634,10 @@ def objective_twoway(j, tw, mode="sk"):
         raise ParameterError(f"mode must be sk or wsk, got {mode!r}")
     if not isinstance(j, DiscreteJoint):
         j = DiscreteJoint(j)
-    u = tw.u_channel.rows
-    v = tw.v_given_yu
-    if u.shape[0] != j.dims[0]:
-        raise ParameterError(
-            f"u channel has {u.shape[0]} rows but |X| = {j.dims[0]}")
-    if v.shape[0] != j.dims[1]:
-        raise ParameterError(
-            f"v channel indexes {v.shape[0]} y symbols but |Y| = {j.dims[1]}")
+    u = check_stochastic(tw.u_channel.rows, "u channel", axis=1,
+                         shape=(j.dims[0], "|U|"))
+    v = check_stochastic(tw.v_given_yu, "v channel", axis=2,
+                         shape=(j.dims[1], u.shape[1], "|V|"))
     big = np.einsum("xyz,xu,yuv->xyzuv", j.masses, u, v)
 
     def h(*keep):
@@ -704,11 +679,12 @@ def convexity_probe(j, objective, probes=1000, seed=0):
     if objective not in ("rec", "rate", "wsk"):
         raise ParameterError(
             f"objective must be rec, rate or wsk, got {objective!r}")
+    probes = check_int(probes, "probes", 1)
     if not isinstance(j, DiscreteJoint):
         j = DiscreteJoint(j)
     pre = _precompute(j)
     nx = j.dims[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
 
     def sample():
         g = rng.gamma(1.0, size=(probes, nx, nx))

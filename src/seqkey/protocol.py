@@ -78,7 +78,13 @@ import numpy as np
 
 from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.gf2n import POLY_TAPS, gf_mul
-from seqkey.measures import LN2, DiscreteJoint, entropy_nats
+from seqkey.measures import (
+    LN2,
+    DiscreteJoint,
+    check_int,
+    check_stochastic,
+    entropy_nats,
+)
 from seqkey.optimizer import TestChannel, rate_constraint
 
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
@@ -215,21 +221,13 @@ def _bits_per_symbol(size):
     return 0 if size <= 1 else (size - 1).bit_length()
 
 
-def _check_seed(seed):
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(
-            f"seed must be a non-negative int, got {seed!r}")
-
-
 def _check_epsilon(epsilon):
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
 
 
 def _check_block_length(n):
-    if not isinstance(n, int) or not 2 <= n <= 14:
-        raise ParameterError(
-            f"block length must be an int in [2, 14], got {n!r}")
+    return check_int(n, "block length", 2, 14)
 
 
 def _check_decoder(decoder):
@@ -280,6 +278,8 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
     if v_given_yu is None:
         r_v = r_v_prime = 0.0
     else:
+        v_given_yu = check_stochastic(v_given_yu, "v channel", axis=2,
+                                      shape=(j.dims[1], tc_u.u_size, "|V|"))
         # designed joint over (x, y, u, v)
         p4 = np.einsum("ab,au,buv->abuv", p_xy, tc_u.rows, v_given_yu)
         i_v_y_xu = (h(p4.sum(axis=1)) + h(p4.sum(axis=3))
@@ -571,26 +571,18 @@ class ReconCode:
     @classmethod
     def generate(cls, j, tc_u, n, epsilon, seed, v_given_yu=None,
                  rates=None):
-        _check_block_length(n)
+        n = _check_block_length(n)
         _check_epsilon(epsilon)
-        _check_seed(seed)
+        seed = check_int(seed, "seed")
         nx, ny, _ = j.dims
-        if tc_u.rows.shape[0] != nx:
-            raise ParameterError(
-                f"test channel has {tc_u.rows.shape[0]} rows for an "
-                f"alphabet of {nx}")
+        check_stochastic(tc_u.rows, "test channel", axis=1,
+                         shape=(nx, "|U|"))
         nu = tc_u.u_size
         if v_given_yu is None:
             v_given_yu = np.ones((ny, nu, 1))
         else:
-            v_given_yu = np.asarray(v_given_yu, dtype=float)
-            if v_given_yu.shape[:2] != (ny, nu):
-                raise ParameterError(
-                    f"v channel must be shaped ({ny}, {nu}, nv), got "
-                    f"{v_given_yu.shape}")
-            if np.any(v_given_yu < 0.0) or not np.allclose(
-                    v_given_yu.sum(axis=2), 1.0, atol=1e-12):
-                raise ParameterError("v channel rows must be pmfs")
+            v_given_yu = check_stochastic(v_given_yu, "v channel", axis=2,
+                                          shape=(ny, nu, "|V|"))
         nv = v_given_yu.shape[2]
         _check_alphabets("XYZUV", j.dims + (nu, nv))
         if rates is None:
@@ -795,12 +787,9 @@ def _source_symbols(j, draws):
 
 def sample_source(j, n, seed):
     """n i.i.d. draws from the joint; returns (x^n, y^n, z^n)."""
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"sample count must be a positive int, got "
-                             f"{n!r}")
+    n = check_int(n, "sample count", 1)
     if not isinstance(seed, np.random.Generator):
-        _check_seed(seed)
-        seed = _stream(seed)
+        seed = _stream(check_int(seed, "seed"))
     return _source_symbols(j, seed.random(n))
 
 
@@ -835,9 +824,7 @@ def privacy_amplify(s_bits, hash_seed, k):
     if n_bits not in POLY_TAPS:
         raise ParameterError(
             f"input length must be in [8, 64] bits, got {n_bits}")
-    if not isinstance(k, int) or not 1 <= k <= n_bits:
-        raise ParameterError(
-            f"key length must be an int in [1, {n_bits}], got {k!r}")
+    k = check_int(k, "key length", 1, n_bits)
     for name, arr in (("s", s_bits), ("hash seed", hash_seed)):
         if np.any((arr != 0) & (arr != 1)):
             raise ParameterError(f"{name} must contain only bits")
@@ -859,22 +846,14 @@ class ProtocolParams:
     rates: Rates = None
 
     def __post_init__(self):
-        _check_block_length(self.n)
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ParameterError(
-                f"block count must be a positive int, got {self.m!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ParameterError(
-                f"key length must be a positive int, got {self.k!r}")
-        if self.k > self.n * self.m:
-            raise ParameterError(
-                f"key length {self.k} exceeds the n*m = "
-                f"{self.n * self.m} source budget")
+        n = _check_block_length(self.n)
+        m = check_int(self.m, "block count", 1)
+        checked = dict(n=n, m=m, k=check_int(self.k, "key length", 1, n * m),
+                       trials=check_int(self.trials, "trials", 1),
+                       seed=check_int(self.seed, "seed"))
+        for name, value in checked.items():  # numpy ints stored as ints
+            object.__setattr__(self, name, value)
         _check_epsilon(self.epsilon)
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError(
-                f"trials must be a positive int, got {self.trials!r}")
-        _check_seed(self.seed)
         _check_decoder(self.decoder)
 
 

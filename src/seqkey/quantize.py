@@ -41,7 +41,13 @@ import numpy as np
 
 from seqkey.errors import ConvergenceError, ParameterError
 from seqkey.gaussian import GaussianSource, h_x_given_y
-from seqkey.measures import ZERO_MASS, DiscreteDist, entropy_nats, gaussian_mi
+from seqkey.measures import (
+    ZERO_MASS,
+    DiscreteDist,
+    check_int,
+    entropy_nats,
+    gaussian_mi,
+)
 
 GAP_FLOOR = 1e-16
 _Y_TOL = 1e-9          # absolute tolerance of the y-integration
@@ -410,9 +416,7 @@ def optimize_partition(src, n_cells):
     ``(Partition, mi)`` with mi from ``partition_mi(tol=1e-11)`` at the
     final boundaries.
     """
-    if not isinstance(n_cells, int) or not 2 <= n_cells <= 15:
-        raise ParameterError(
-            f"cell count must be an integer in [2, 15], got {n_cells!r}")
+    n_cells = check_int(n_cells, "cell count", 2, 15)
     rule = _unit_y_rule(src)  # validates rho; rho = 0 has no optimum
     quant = statistics.NormalDist()
     u = np.array([quant.inv_cdf(i / n_cells) for i in range(1, n_cells)])

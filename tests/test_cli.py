@@ -412,11 +412,18 @@ BYTE_CASES = {
     "capacity_bec": (
         ["capacity", "bec", "--p", "0.1", "--erasure", "0.3",
          "--r1", "linear:0.02:0.6:40"], None),
+    # the non-uniform prior: the optimizer sweep and a NaN beta0 column
+    "capacity_bsc_prior": (
+        ["capacity", "bsc", "--p", "0.1", "--q", "0.2", "--prior", "0.3",
+         "--r1", "linear:0.3:0.4:2"], None),
     "capacity_gauss": (
         ["capacity", "gauss", "--rho-xy", "0.8", "--rho-yz", "0.4",
          "--r1", "log:0.01:3:40"], None),
     "counterexample": (["counterexample"], None),
     "quantize_uniform": (["quantize", "uniform", "--rho-xy", "0.75"], None),
+    "quantize_partition": (
+        ["quantize", "partition", "--rho-xy", "0.9", "--l-min", "2",
+         "--l-max", "3"], None),
     "optimize_wsk": (
         ["optimize", "--p", "0.1", "--q", "0.2", "--r1", "0.3",
          "--objective", "wsk"], None),
@@ -424,6 +431,7 @@ BYTE_CASES = {
         ["simulate"],
         "p = 0.1\nq = 0.5\nn = 8\nm = 8\nk = 4\nepsilon = 0.15\n"
         "trials = 150\nseed = 20260816\ndecoder = ml\n"),
+    "simulate_demo": (["simulate", "--demo"], None),
 }
 
 FROZEN_DIGESTS = {
@@ -431,6 +439,8 @@ FROZEN_DIGESTS = {
         "f03cb1d1323c4e79e14502b01e0c50ee891a7dcdd2b740a64319508e8bf21de5",
     "capacity_bsc":
         "6992f30a50c4dac98b94572634d99e2ac3b6a59940d74ae63060acd148e81bf6",
+    "capacity_bsc_prior":
+        "e2e5a8bf47f7367f805950c5b4a681ec6e24c35e73ededd5e6ccec0803b883f6",
     "capacity_gauss":
         "38458b142729164282e9bc4bd4443e212240ea18fb239c6960f42af2550d45ec",
     "counterexample":
@@ -439,10 +449,14 @@ FROZEN_DIGESTS = {
     # checks the value and residual behind it
     "optimize_wsk":
         "4465f51a705c39fb31d91a210091608750058c4418bb0c59f8f832efb1f12a9c",
+    "quantize_partition":
+        "91420e51bfa787515376a3a4f30c200cb88ef0e32d6cc4b994c31cfcb46bdb5e",
     "quantize_uniform":
         "673ff1e3cde40f0e6fbd9503591335718d96f5e9082caa200affa855eebdc66f",
     "simulate_ml":
         "6e30692b22ec7fcd52d7da0bf4db19d8efa171cae57a42f21acaf5aae07decf3",
+    "simulate_demo":
+        "a6bd0955d6cf5137afe2554b920266e05ae7368f04d63992b353ccad94e13422",
 }
 
 

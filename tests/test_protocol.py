@@ -889,13 +889,14 @@ class TestBatchedReconcile:
         # README's bound: the chunk budget (8 CHUNK_ELEMENTS bytes), the V
         # books the call holds (one byte per symbol) and the arrays with
         # one entry per block: about ten 8-byte indices and scores and a
-        # few flags (at most 96 bytes), the int32 and int16 cell codes of
-        # its inputs and its uint8 result rows (at most 16 bytes a symbol).
-        # The nv3 code at ml and 1,200 blocks peaked at 602 KB, over the
-        # chunk budget alone; at 4,800 blocks every case here is over
-        # 0.9 MB. The no-V n = 8 code holds one all-zero book and at ml
-        # and 4,800 blocks peaked at 1,144 KB; the n = 12 code, whose
-        # encoder scans 4,096 words, at 1,317 KB
+        # few flags (at most 96 bytes), the int16 cell codes of its inputs
+        # with their scaled copies inside a scan, and its uint8 result rows
+        # (at most 16 bytes a symbol). The nv3 code at ml and 1,200 blocks
+        # peaked at 587,750 B, over the chunk budget alone; at 4,800
+        # blocks every case here is over 0.9 MB. The no-V n = 8 code holds
+        # one all-zero book and at ml and 4,800 blocks peaked at
+        # 1,067,208 B; the n = 12 code, whose encoder scans 4,096 words,
+        # at 1,201,580 B
         code = bsc_code(12) if name == "n12" else _batch_code(name)
         x, y, _ = _blocks(code.n, blocks, seed=5)
         omega, alice_nu, _ = _encode_alice(x, code)

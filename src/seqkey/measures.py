@@ -188,15 +188,16 @@ def check_stochastic(masses, name, axis=None, shape=None):
             f"{name} must be shaped ({dims}), got {arr.shape}")
     if arr.size == 0:
         raise ParameterError(f"{name} holds no mass")
-    if not np.isfinite(arr).all():
+    low, high = float(arr.min()), float(arr.max())  # NaN propagates
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ParameterError(f"{name} masses must be finite")
-    low = float(arr.min())
     if low < -SUM_TOL:
         raise ParameterError(f"{name} has a negative mass {low!r}")
     arr = np.where(arr > 0.0, arr, 0.0)
     sums = np.ravel(arr.sum(axis=axis))
-    worst = float(sums[np.argmax(np.abs(sums - 1.0))])
-    if abs(worst - 1.0) > SUM_TOL:
+    off = np.abs(sums - 1.0)
+    if off.max() > SUM_TOL:
+        worst = float(sums[off.argmax()])
         raise ParameterError(
             f"{name} sums to {worst!r}; expected 1 within {SUM_TOL}")
     arr.flags.writeable = False

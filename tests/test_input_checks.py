@@ -275,6 +275,6 @@ def test_beta0_column_at_the_saturation_rate():
     # not at 0, while both capacities take their saturated values
     src = BscCascadeSource(0.1, 0.2)
     h = binary_entropy(0.1)
-    rec, wsk, beta = capacity_curves(src, [h, 0.6, 0.0])
+    rec, _, beta = capacity_curves(src, [h, 0.6, 0.0])
     assert beta == [1.5557538194652854e-61, 0.0, 0.5]
     assert rec[:2] == [1.0 - h] * 2 and rec[2] == 0.0

@@ -37,6 +37,7 @@ from seqkey.measures import (
     star,
     xlogx,
 )
+from seqkey.measures import binary_entropy_unchecked as _h2
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SCAN_SLACK = 1e-12  # bits; far above the scan's rounding, below its steps
@@ -296,15 +297,19 @@ class AlphaPair:
 
 def mixture_weight(src, ap):
     """P[U = u1] implied by the pair; raises InfeasibleError off the region."""
-    denom = (1.0 - ap.alpha2) - ap.alpha1
+    return _weight(src.p, ap.alpha1, ap.alpha2)
+
+
+def _weight(p, a1, a2):
+    # mixture_weight of the pair (a1, a2) at P[X=1] = p
+    denom = (1.0 - a2) - a1
     if abs(denom) < 1e-15:
         raise InfeasibleError(
             "alpha1 = 1 - alpha2 leaves the mixture weight undefined")
-    pu = ((1.0 - ap.alpha2) - src.p) / denom
+    pu = ((1.0 - a2) - p) / denom
     if not -1e-12 <= pu <= 1.0 + 1e-12:
         raise InfeasibleError(
-            f"pair ({ap.alpha1}, {ap.alpha2}) implies P[U=u1] = {pu}, "
-            "outside [0, 1]")
+            f"pair ({a1}, {a2}) implies P[U=u1] = {pu}, outside [0, 1]")
     return min(max(pu, 0.0), 1.0)
 
 
@@ -367,9 +372,20 @@ class CounterexampleReport:
 
 def _trace_alpha2(src, a1, r1):
     # root of (h - f)(a1, .) = r1 in [0, 1 - p); the constraint decreases
-    # from its value at alpha2 = 0 to 0 as the channel degenerates
+    # from its value at alpha2 = 0 to 0 as the channel degenerates. Each
+    # step computes h - f as _fgh does, float by float, but takes the
+    # entropies that do not depend on alpha2 once per trace, skips g, and
+    # uses the unchecked entropy: every argument is a mixture of
+    # probabilities, so it lies in [0, 1]
+    b1, b2 = src.beta1, src.beta2
+    h_y, h_a = _h2(src.p_y), _h2(a1 * b2 + (1.0 - a1) * (1.0 - b1))
+    h_x, h_a1 = _h2(src.p), _h2(a1)
+
     def spent(a2):
-        f, _, h = counterexample_fgh(src, AlphaPair(a1, a2))
+        pu = _weight(src.p, a1, a2)
+        pub = 1.0 - pu
+        f = h_y - pu * h_a - pub * _h2(a2 * (1.0 - b1) + (1.0 - a2) * b2)
+        h = h_x - pu * h_a1 - pub * _h2(a2)
         return h - f
 
     if spent(0.0) < r1:
@@ -448,7 +464,9 @@ def counterexample_solve(src, r1, grid=512):
     solves every grid point in one array bisection; the grid points within
     SCAN_SLACK of its maximum are compared again on scalar floats, and the
     first maximum (the smallest alpha1 of a tie) is the refinement's
-    center. The refinement and every reported number run on scalar floats.
+    center. The refinement and every reported number run on scalar floats;
+    each alpha1 it visits costs one scalar bisection for alpha2, whose
+    steps evaluate only h - f, with the alpha2-free entropies taken once.
     """
     r1 = float(r1)
     hxy = src.h_x_given_y()

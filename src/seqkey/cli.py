@@ -76,6 +76,9 @@ def parse_grid(spec):
     except ValueError as exc:
         raise ParameterError(f"grid {spec!r}: {exc}") from None
     check_int(points, "grid points", 2)
+    for name, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ParameterError(f"grid {name} must be finite, got {value!r}")
     if not start < stop:
         raise ParameterError(
             f"grid start must be below stop, got {start!r} >= {stop!r}")

@@ -20,8 +20,10 @@ by index (``0``, ``(1, 2)``).
 
 The numeric primitives the other modules share have their only
 implementation here: ``xlogx`` and ``entropy_nats`` (the entropy kernel),
-``bisect`` (bisection, one root or one per array element), and the
-acceptance checks of the package's inputs: ``check_rate`` (public rates),
+``binary_entropy_unchecked`` (the scalar binary entropy, which
+``binary_entropy`` calls after its check), ``bisect`` (bisection, one root
+or one per array element), and the acceptance checks of the package's
+inputs: ``check_rate`` (finite public rates),
 ``check_stochastic`` (every pmf and channel, the rule above) and
 ``check_int`` (every integer parameter: a Python or numpy int, never a
 bool, within a range).
@@ -114,11 +116,14 @@ def bisect(below, lo, hi):
 
 
 def check_rate(r1, positive=False):
-    """Validate a public rate (>= 0, or > 0 with ``positive``) as a float."""
+    """Validate a finite public rate (>= 0, or > 0 with ``positive``) as a
+    float."""
     r = float(r1)
     if math.isnan(r) or r < 0.0 or (positive and r == 0.0):
         kind = "positive" if positive else ">= 0"
         raise ParameterError(f"rate must be {kind}, got {r!r}")
+    if r == math.inf:
+        raise ParameterError(f"rate must be finite, got {r!r}")
     return r
 
 
@@ -147,10 +152,16 @@ def star(p, q):
 
 def binary_entropy(p, units=BITS):
     """Entropy of a Bernoulli(p) variable, in ``units``."""
-    p = check_prob(p, "p")
+    return binary_entropy_unchecked(check_prob(p, "p"), _scale(units))
+
+
+def binary_entropy_unchecked(p, scale=1.0 / LN2):
+    """``binary_entropy`` of a float p already known to lie in [0, 1], in
+    bits, or in the units of ``scale`` per nat; for scalar loops that
+    cannot afford the check."""
     if p <= ZERO_MASS or 1.0 - p <= ZERO_MASS:
         return 0.0
-    return _scale(units) * (-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
+    return scale * (-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
 
 
 def inverse_binary_entropy(h):

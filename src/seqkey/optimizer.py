@@ -37,6 +37,9 @@ the wsk members are one slice, and each member carries its point's s, beta,
 gamma, stopping move and step size. Every operation acts on each member
 alone and each point keeps its own warm start, drop of unsettled members
 and verdict, so a point's result is the one it gets alone, bit for bit.
+So members of a point whose logits are equal, bit for bit, stay equal:
+each warm start keeps them once, with a multiplicity, and ``cycles``
+still counts every member.
 The sweep raises ConvergenceError as soon as one of its points fails, and
 the message names that point's R1 and objective.
 
@@ -406,7 +409,9 @@ class _Point:
     """One (r1, objective) point of a sweep and its bisection's state: the
     logits of the last s that spent at least r1 (``warm``) and its best
     channel (``best``), the best channel of the last s that spent less
-    (``below``), and the work so far."""
+    (``below``), and the work so far. ``warm`` holds each bitwise-distinct
+    member once, and ``mult`` the number of restart members each stands
+    for (one each by default)."""
 
     r1: float
     objective: str
@@ -416,6 +421,28 @@ class _Point:
     below: np.ndarray | None = None
     rounds: int = 0
     cycles: int = 0
+    mult: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.mult is None:
+            self.mult = np.ones(len(self.warm), dtype=int)
+
+
+def _distinct(theta, mult):
+    """The bitwise-distinct rows of ``theta`` in order of first appearance,
+    so -0.0 and 0.0 stay apart and argmax still picks the first of a tie,
+    with the summed multiplicities ``mult`` of the rows each stands for."""
+    first, kept, total = {}, [], []
+    for i, (row, k) in enumerate(zip(theta, mult.tolist())):
+        n = first.setdefault(row.tobytes(), len(kept))
+        if n == len(kept):
+            kept.append(i)
+            total.append(k)
+        else:
+            total[n] += k
+    if len(kept) == len(theta):
+        return theta, mult
+    return theta[kept], np.array(total)
 
 
 def _starts(nx, opts):
@@ -431,8 +458,11 @@ def _solve(pre, points):
     first, each from its own warm start (a collapsed channel never leaves
     the collapse). A round solves one fixed point over the members of all
     live points; then each point drops its members still moving (they are
-    not the answer) and keeps its best member's channel. Raises when a
-    point's best member still moves after FIXED_POINT_ITERS cycles."""
+    not the answer), keeps its best member's channel and stores its next
+    warm start with each bitwise-distinct member once. Members act alone
+    in the fixed point, so equal members end equal and one stands for all;
+    ``cycles`` counts each by its multiplicity. Raises when a point's best
+    member still moves after FIXED_POINT_ITERS cycles."""
 
     def spends_less(log_s, live):
         pts = [points[i] for i in live]
@@ -450,10 +480,12 @@ def _solve(pre, points):
                     f"{p.objective} at r1 = {p.r1!r}: Lagrangian fixed "
                     f"point at s = {s_p!r} still moving after "
                     f"{FIXED_POINT_ITERS} SQUAREM cycles")
-            p.rounds, p.cycles = p.rounds + 1, p.cycles + int(ran[a:b].sum())
+            p.rounds += 1
+            p.cycles += int(ran[a:b] @ p.mult)
             kept.append(n - int(moving[a:b].sum()))
             a = b
         keep = np.flatnonzero(~moving)
+        mult = np.concatenate([p.mult for p in pts])[keep]
         theta, warm, lag, rate = theta[keep], warm[keep], lag[keep], rate[keep]
         spent_less, a = np.empty(len(pts), dtype=bool), 0
         for n, (p, size) in enumerate(zip(pts, kept)):
@@ -461,9 +493,10 @@ def _solve(pre, points):
             i = a + int(lag[a:b].argmax())
             spent_less[n] = rate[i] < p.r1
             if spent_less[n]:
-                p.below, p.warm = np.exp(theta[i]), warm[a:b]
+                p.below, nxt = np.exp(theta[i]), warm[a:b]
             else:
-                p.best, p.warm = np.exp(theta[i]), theta[a:b]
+                p.best, nxt = np.exp(theta[i]), theta[a:b]
+            p.warm, p.mult = _distinct(nxt, mult[a:b])
             a = b
         return spent_less
 

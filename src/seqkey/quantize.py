@@ -45,6 +45,7 @@ from seqkey.measures import (
     ZERO_MASS,
     DiscreteDist,
     check_int,
+    check_rate,
     entropy_nats,
     gaussian_mi,
 )
@@ -240,9 +241,7 @@ def gap_bound(src, r1, consts=None):
     ``[alpha r1 + beta] e^{-r1} + K sqrt(r1) e^{2 (h(X|Y) - r1)}``.
     Loose by design: the measured gap sits far below it.
     """
-    r1 = float(r1)
-    if not r1 > 0.0:
-        raise ParameterError(f"r1 must be > 0, got {r1!r}")
+    r1 = check_rate(r1, positive=True)
     c = consts or gap_constants(src)
     h_cond = h_x_given_y(src)
     return ((c.alpha * r1 + c.beta) * math.exp(-r1)

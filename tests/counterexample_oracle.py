@@ -5,7 +5,9 @@ as one array bisection: one scalar ``_trace_alpha2`` bisection per grid
 point on the ``math.log`` entropy, keeping a candidate only on strict
 improvement from the low end. The refinement and the report are copied
 from that version as they were, so a test can ask the library for the
-same report, bit for bit.
+same report, bit for bit. ``oracle_trace_alpha2`` is the trace as it was
+before it took its alpha2-free entropies once per trace: every bisection
+step evaluates ``counterexample_fgh`` on a fresh ``AlphaPair``.
 """
 
 import math
@@ -16,10 +18,21 @@ from seqkey.binary import (
     AlphaPair,
     CounterexampleReport,
     _golden_max,
-    _trace_alpha2,
     counterexample_fgh,
 )
 from seqkey.errors import InfeasibleError, ParameterError
+from seqkey.measures import bisect
+
+
+def oracle_trace_alpha2(src, a1, r1):
+    """The alpha2 on the constraint curve at alpha1 = a1, or None."""
+    def spent(a2):
+        f, _, h = counterexample_fgh(src, AlphaPair(a1, a2))
+        return h - f
+
+    if spent(0.0) < r1:
+        return None
+    return bisect(lambda a2: spent(a2) >= r1, 0.0, 1.0 - src.p - 1e-13)
 
 
 def oracle_solve(src, r1, grid=512):
@@ -31,7 +44,7 @@ def oracle_solve(src, r1, grid=512):
             f"rate must lie strictly inside (0, H(X|Y)) = (0, {hxy}), got {r1!r}")
 
     def on_curve(a1):
-        a2 = _trace_alpha2(src, a1, r1)
+        a2 = oracle_trace_alpha2(src, a1, r1)
         if a2 is None:
             return None
         pair = AlphaPair(a1, a2)

@@ -17,7 +17,7 @@ from seqkey.binary import (
     _trace_alpha2,
     mixture_weight,
 )
-from seqkey.errors import InfeasibleError
+from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.measures import binary_entropy, binary_entropy_unchecked
 
 from counterexample_oracle import oracle_trace_alpha2
@@ -67,6 +67,12 @@ def test_trace_finds_points_on_and_off_the_curve():
 def test_unchecked_entropy_is_binary_entropy(p):
     assert binary_entropy_unchecked(p) == binary_entropy(p)
     assert binary_entropy_unchecked(p, 1.0) == binary_entropy(p, "nats")
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_binary_entropy_checks_its_units_at_every_p(p):
+    with pytest.raises(ParameterError, match="unknown units"):
+        binary_entropy(p, "bans")
 
 
 def test_mixture_weight_keeps_its_feasibility_rule():

@@ -468,9 +468,9 @@ def counterexample_solve(src, r1, grid=512):
     each alpha1 it visits costs one scalar bisection for alpha2, whose
     steps evaluate only h - f, with the alpha2-free entropies taken once.
     """
-    r1 = float(r1)
+    r1 = check_rate(r1, positive=True)
     hxy = src.h_x_given_y()
-    if not 0.0 < r1 < hxy:
+    if r1 >= hxy:
         raise ParameterError(
             f"rate must lie strictly inside (0, H(X|Y)) = (0, {hxy}), got {r1!r}")
     grid = check_int(grid, "grid", 2)
@@ -481,14 +481,13 @@ def counterexample_solve(src, r1, grid=512):
         if a2 is None:
             return None
         pair = AlphaPair(a1, a2)
-        f, g, _ = counterexample_fgh(src, pair)
-        return pair, f, g
+        return (pair, *counterexample_fgh(src, pair))
 
     def value(a1, key):
         got = on_curve(a1)
         if got is None:
             return -math.inf
-        _, f, g = got
+        _, f, g, _ = got
         return f - g if key == "wsk" else f
 
     alphas = np.linspace(0.0, src.p, grid, endpoint=False)
@@ -511,10 +510,8 @@ def counterexample_solve(src, r1, grid=512):
         return got if got is not None else on_curve(center)
 
     wsk, rec = _scan(src, r1, alphas)
-    wsk_pair, fw, gw = refined(center(wsk, "wsk"), "wsk")
-    rec_pair, fr, gr = refined(center(rec, "rec"), "rec")
-    _, _, hw = counterexample_fgh(src, wsk_pair)
-    _, _, hr = counterexample_fgh(src, rec_pair)
+    wsk_pair, fw, gw, hw = refined(center(wsk, "wsk"), "wsk")
+    rec_pair, fr, gr, hr = refined(center(rec, "rec"), "rec")
     c_wsk = fw - gw
     key_at_rec = fr - gr
     loss = 1.0 - key_at_rec / c_wsk if c_wsk > 0.0 else 0.0

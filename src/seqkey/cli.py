@@ -48,7 +48,7 @@ from seqkey.binary import (
 )
 from seqkey.errors import ConvergenceError, InfeasibleError, ParameterError
 from seqkey.gaussian import GaussianSource, c_rec_gauss, c_wsk_gauss, sigma0
-from seqkey.measures import check_int
+from seqkey.measures import LN2, check_int
 from seqkey.optimizer import OptimizerOptions, TestChannel, optimize_oneway
 from seqkey.protocol import ProtocolParams, Rates, run_experiment
 from seqkey.quantize import bound_check, optimize_partition, partition_rate
@@ -167,13 +167,12 @@ def cmd_capacity_gauss(args):
             "correlation triple is not degraded; pass --extrapolate to "
             "evaluate the closed form anyway")
     grid = parse_grid(args.r1)
-    ln2 = math.log(2.0)
 
     def point(r1):
         rec = c_rec_gauss(src, r1)
         wsk = c_wsk_gauss(src, r1, extrapolate=args.extrapolate)
         s0 = sigma0(src, r1) if r1 > 0.0 else math.inf
-        return (r1, rec, wsk, rec / ln2, wsk / ln2, s0)
+        return (r1, rec, wsk, rec / LN2, wsk / LN2, s0)
 
     rows = [point(r1) for r1 in grid]
     header = ("r1_nats", "c_rec_nats", "c_wsk_nats",
@@ -203,10 +202,9 @@ def cmd_counterexample(args):
         "constraint_residual": float(rep.constraint_residual),
         "gap_confirmed": bool(gap),
     }
-    for key in ("r1_bits", "c_wsk_bits", "key_rate_at_rec_bits",
-                "c_rec_bits", "relative_loss", "wsk_alpha1", "wsk_alpha2",
-                "rec_alpha1", "rec_alpha2"):
-        print(f"{key} = {results[key]!r}")
+    for key, value in results.items():
+        if key not in ("constraint_residual", "gap_confirmed"):
+            print(f"{key} = {value!r}")
     print("gap confirmed" if gap else "no gap")
     if args.output:
         params = dict(p=args.p, beta1=args.beta1, beta2=args.beta2,
@@ -221,10 +219,13 @@ def cmd_counterexample(args):
 def cmd_quantize_uniform(args):
     src = GaussianSource(rho_xy=args.rho_xy, sigma_x=args.sigma_x)
     if args.r1 is None:
-        # the bound lives above h(X|Y); default to a decade around it
+        # the bound lives above h(X|Y); default to a decade above it and
+        # above h(X|Y) - ln sigma_x, so that delta = e^(h(X|Y) - r1) stays
+        # below sigma_x, and above 0, as h(X|Y) < 0 for a tight pair
         from seqkey.gaussian import h_x_given_y
-        grid = h_x_given_y(src) + np.logspace(math.log10(0.03),
-                                              math.log10(3.0), 10)
+        h = h_x_given_y(src)
+        grid = max(h, h - math.log(src.sigma_x), 0.0) + np.logspace(
+            math.log10(0.03), math.log10(3.0), 10)
     else:
         grid = parse_grid(args.r1)
     rep = bound_check(src, grid)
@@ -441,7 +442,8 @@ def build_parser():
     uni.add_argument("--sigma-x", type=float, default=1.0)
     uni.add_argument("--r1", default=None, metavar="KIND:START:STOP:N",
                      help="rate grid in nats, each point above h(X|Y) "
-                          "(default: a frozen decade above it)")
+                          "(default: a decade above h(X|Y), "
+                          "h(X|Y) - ln sigma_x and 0)")
     _add_common(uni)
     uni.set_defaults(func=cmd_quantize_uniform)
 

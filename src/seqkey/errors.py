@@ -21,9 +21,9 @@ class InfeasibleError(SeqkeyError, ValueError):
 class RateSaturated(InfeasibleError):
     """The rate budget exceeds H(X|Y), so the constraint is inactive.
 
-    Callers that know the saturated closed form catch this and fall back to
-    the unconstrained optimum; it is a hard error only for operations that
-    have no saturated branch.
+    Raised by ``beta0_solve``, which has no saturated branch. The capacity
+    functions that know the saturated closed form check the rate before
+    they solve, so no caller in the package catches it.
     """
 
 

@@ -472,31 +472,25 @@ def _solve(pre, points):
         warm = np.concatenate([p.warm for p in pts])
         theta, moving, lag, rate, ran = _fixed_point(warm, pre, _Members.build(
             s, [p.objective == "wsk" for p in pts], sizes, *warm.shape[1:]))
-        kept, a = [], 0
-        for p, s_p, n in zip(pts, s, sizes):
-            b = a + n
-            if moving[a + lag[a:b].argmax()]:
+        spent_less, a = np.empty(len(pts), dtype=bool), 0
+        for n, (p, s_p, size) in enumerate(zip(pts, s, sizes)):
+            b = a + size
+            # once stopped, the first maximum is the best stopped member
+            i = a + int(lag[a:b].argmax())
+            if moving[i]:
                 raise ConvergenceError(
                     f"{p.objective} at r1 = {p.r1!r}: Lagrangian fixed "
                     f"point at s = {s_p!r} still moving after "
                     f"{FIXED_POINT_ITERS} SQUAREM cycles")
             p.rounds += 1
             p.cycles += int(ran[a:b] @ p.mult)
-            kept.append(n - int(moving[a:b].sum()))
-            a = b
-        keep = np.flatnonzero(~moving)
-        mult = np.concatenate([p.mult for p in pts])[keep]
-        theta, warm, lag, rate = theta[keep], warm[keep], lag[keep], rate[keep]
-        spent_less, a = np.empty(len(pts), dtype=bool), 0
-        for n, (p, size) in enumerate(zip(pts, kept)):
-            b = a + size
-            i = a + int(lag[a:b].argmax())
+            stopped = ~moving[a:b]
             spent_less[n] = rate[i] < p.r1
             if spent_less[n]:
-                p.below, nxt = np.exp(theta[i]), warm[a:b]
+                p.below, nxt = np.exp(theta[i]), warm[a:b][stopped]
             else:
-                p.best, nxt = np.exp(theta[i]), theta[a:b]
-            p.warm, p.mult = _distinct(nxt, mult[a:b])
+                p.best, nxt = np.exp(theta[i]), theta[a:b][stopped]
+            p.warm, p.mult = _distinct(nxt, p.mult[stopped])
             a = b
         return spent_less
 

@@ -320,10 +320,8 @@ class Partition:
 def _cell_masses(edges_scaled):
     # exact Gaussian masses between consecutive scaled edges, tails included
     cdf = _norm_cdf(edges_scaled)
-    if cdf.ndim == 1:
-        return np.diff(np.concatenate(([0.0], cdf, [1.0])))
-    pad = np.zeros((cdf.shape[0], 1))
-    return np.diff(np.concatenate((pad, cdf, 1.0 - pad), axis=1), axis=1)
+    pad = np.zeros(cdf.shape[:-1] + (1,))
+    return np.diff(np.concatenate((pad, cdf, 1.0 - pad), axis=-1), axis=-1)
 
 
 def _cond_cells(b, y, slope, sc):

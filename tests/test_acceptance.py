@@ -5,6 +5,7 @@ per criterion at the end of the run.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -190,6 +191,6 @@ def test_criterion_9_cli_determinism(tmp_path):
         paths = [str(tmp_path / f"{name}.{i}") for i in (0, 1)]
         codes = [cli_main(argv + ["-o", p]) for p in paths]
         assert codes[0] == codes[1]
-        first, second = (open(p, "rb").read() for p in paths)
+        first, second = (Path(p).read_bytes() for p in paths)
         assert first == second, name
         assert first, name

@@ -308,6 +308,18 @@ class TestQuantize:
         assert main(["quantize", "partition", "--rho-xy", "0.75",
                      "--l-min", "5", "--l-max", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--rho-xy", "0.75", "--sigma-x", "0.8"],  # widest cell was too coarse
+        ["--rho-xy", "0.99"],  # h(X|Y) < 0 gave negative rates
+    ])
+    def test_uniform_default_grid_runs(self, argv, tmp_path):
+        out = str(tmp_path / "q.csv")
+        assert main(["quantize", "uniform", *argv, "-o", out]) == 0
+        _, rows = read_curve(out)
+        assert len(rows) == 10
+        for r1, delta, _, gap, bound in rows:
+            assert r1 > 0.0 and 0.0 < gap <= bound
+
 
 class TestSimulate:
     def test_record_round_trip_and_seed_override(self, tmp_path):

@@ -87,3 +87,33 @@ def test_one_point_counts_the_cycles_of_every_member(objective):
     want = oracle_oneway(j, 0.05, objective)
     assert repr(got) == repr(want)
     assert got.cycles == want.cycles
+
+
+def test_members_still_moving_are_dropped(monkeypatch):
+    # a 100-cycle budget leaves restarts of this joint moving in one round
+    # while the best member has stopped: they must leave the warm start
+    # and its multiplicities, as the one-point solve drops them
+    import oneway_oracle
+    from seqkey.measures import DiscreteJoint, conditional_entropy
+
+    monkeypatch.setattr(optimizer, "FIXED_POINT_ITERS", 100)
+    monkeypatch.setattr(oneway_oracle, "FIXED_POINT_ITERS", 100)
+    left = []
+    fixed_point = optimizer._fixed_point
+
+    def recording(theta, pre, par):
+        out = fixed_point(theta, pre, par)
+        left.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(optimizer, "_fixed_point", recording)
+    j = DiscreteJoint(np.random.default_rng(5).dirichlet(np.ones(18))
+                      .reshape(3, 3, 2))
+    points = [(0.3 * conditional_entropy(j, "x", "y"), o)
+              for o in ("rec", "wsk")]
+    got = optimize_sweep(j, points)
+    assert any(left)
+    for res, (r1, objective) in zip(got, points):
+        want = oracle_oneway(j, r1, objective)
+        assert repr(res) == repr(want)
+        assert (res.rounds, res.cycles) == (want.rounds, want.cycles)

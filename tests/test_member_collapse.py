@@ -10,8 +10,10 @@ import pytest
 
 from seqkey import optimizer
 from seqkey.binary import BscCascadeSource
+from seqkey.measures import DiscreteJoint, conditional_entropy
 from seqkey.optimizer import OptimizerOptions, optimize_sweep
 
+import oneway_oracle
 from oneway_oracle import oracle_oneway
 
 PRIOR_SWEEP = [(r1, o) for o in ("rec", "wsk") for r1 in (0.3, 0.4)]
@@ -93,9 +95,6 @@ def test_members_still_moving_are_dropped(monkeypatch):
     # a 100-cycle budget leaves restarts of this joint moving in one round
     # while the best member has stopped: they must leave the warm start
     # and its multiplicities, as the one-point solve drops them
-    import oneway_oracle
-    from seqkey.measures import DiscreteJoint, conditional_entropy
-
     monkeypatch.setattr(optimizer, "FIXED_POINT_ITERS", 100)
     monkeypatch.setattr(oneway_oracle, "FIXED_POINT_ITERS", 100)
     left = []

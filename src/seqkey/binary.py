@@ -41,6 +41,7 @@ from seqkey.measures import binary_entropy_unchecked as _h2
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SCAN_SLACK = 1e-12  # bits; far above the scan's rounding, below its steps
+RESIDUAL_REL = 1e-6  # largest constraint residual per bit of r1 reported
 
 
 def bsc_matrix(t):
@@ -447,7 +448,10 @@ def counterexample_solve(src, r1, grid=512):
     ----------
     src : AsymBinarySource
     r1 : float
-        Public rate in bits, strictly inside (0, H(X|Y)).
+        Public rate in bits, strictly inside (0, H(X|Y)). Both optima must
+        meet the constraint within RESIDUAL_REL r1, else ParameterError:
+        below about 1e-9 on the reference source the residual is rounding
+        dust the size of r1 or larger, not a result.
     grid : int
         Points of the alpha1 sweep before golden-section refinement, at
         least 2.
@@ -516,6 +520,12 @@ def counterexample_solve(src, r1, grid=512):
     key_at_rec = fr - gr
     loss = 1.0 - key_at_rec / c_wsk if c_wsk > 0.0 else 0.0
     residual = max(abs(hw - fw - r1), abs(hr - fr - r1))
+    if residual > RESIDUAL_REL * r1:
+        # the alpha2 bracket stops 1e-13 short of the degenerate channel,
+        # so rates near its rounding leave only dust to report
+        raise ParameterError(
+            f"rate {r1!r} is below what the constraint trace resolves: "
+            f"its residual {residual:.3g} exceeds {RESIDUAL_REL:g} r1")
     return CounterexampleReport(
         r1=r1,
         c_wsk=c_wsk,

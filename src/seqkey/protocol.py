@@ -20,6 +20,20 @@ the float comparison would. ML sums each candidate's log-likelihoods over
 its positions, and that float sum settles ties between words of equal
 likelihood, so a word in a higher row can win one.
 
+A scan runs only for blocks whose answer it can change:
+
+* Alice's pick depends on x alone, so each distinct source block is
+  encoded once and the answers are indexed back to the blocks
+  (_group_rows): the 1,200 blocks of n = 8 in 150 trials of m = 8 hold at
+  most 2^8 distinct x.
+* A typicality block whose context type admits no joint count table
+  inside the windows can match no word, so it answers (0, False) unscanned
+  (_feasible). At n = 12 a cell of mass 0.05 admits no count at all, so
+  Bob's and Eve's typicality decodes of the BSC demo scan nothing, and only
+  the balanced x enter the encoder's scan.
+* Without a V layer every V codeword is all-zero, so the V cover and the
+  V recovery pick row 0 under either decoder; neither is run.
+
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
 are batch axes; one block is a batch of one. The scan takes candidates in
 tiles and blocks in chunks, within CHUNK_ELEMENTS, so its intermediates
@@ -320,6 +334,33 @@ def _cell_dtype(cells):
     return np.int16 if cells <= 1 << 15 else np.int32
 
 
+def _feasible(ctx, ctx_size, lo, hi):
+    """Per block of (B, n) context symbols: whether some integer joint
+    count table over the flat cells c |S| + s lies in the windows
+    [max(lo, 0), hi] with row sums N(c), the block's context counts. Any
+    such table is the joint type of some word, so a block without one has
+    no typical candidate. It exists exactly when no cell's window is empty
+    and every context c has sum_s need(c, s) <= N(c) <= sum_s cap(c, s).
+    The contexts are counted by one bincount per chunk of blocks, at most
+    CHUNK_ELEMENTS / 4 symbols and counts together."""
+    need = np.maximum(lo, 0.0).reshape(ctx_size, -1)
+    cap = hi.reshape(ctx_size, -1)
+    if (need > cap).any():
+        return np.zeros(len(ctx), dtype=bool)
+    least, most = need.sum(axis=1), cap.sum(axis=1)
+    ok = np.empty(len(ctx), dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // (4 * (ctx.shape[-1] + ctx_size)))
+    for first in range(0, len(ctx), step):
+        block = ctx[first:first + step]
+        ids = block.astype(np.intp)
+        ids += ctx_size * np.arange(len(block))[:, None]
+        counts = np.bincount(ids.ravel(), minlength=len(block) * ctx_size)
+        counts = counts.reshape(-1, ctx_size)
+        ok[first:first + step] = ((counts >= least)
+                                  & (counts <= most)).all(axis=1)
+    return ok
+
+
 def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     """(row, found) per block among its candidate words
     table[start:start + width], start broadcasting against the leading axes
@@ -334,9 +375,13 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     words of one joint type are equally likely, yet the higher can win on
     the last bit.
 
-    Tiles of candidates, in order, outer; the blocks still scanning, in
-    chunks, inside. A block leaves a typicality scan at its first typical
-    tile; ML replaces a row only on a strictly larger score. A chunk holds
+    A typicality block whose context type admits no count table inside
+    the windows (_feasible) answers (0, False) without being scanned, as
+    its scan would; when a cell's window holds no count, that is every
+    block. Tiles of candidates, in order, outer; the blocks still
+    scanning, in chunks, inside, and the scan ends once none is left. A
+    block leaves a typicality scan at its first typical tile; ML replaces
+    a row only on a strictly larger score. A chunk holds
     at most CHUNK_ELEMENTS / 2 per-block symbols for ML (float64 terms),
     CHUNK_ELEMENTS / 4 symbols and counts together for typicality (one
     bincount; intp ids, int64 counts), and for shared candidates
@@ -347,11 +392,13 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     ctx = ctx.reshape(-1, n)
     cells, sym = pmf.size, pmf.size // ctx_size
     row = np.zeros(len(ctx), dtype=np.intp)
-    found = np.zeros(len(ctx), dtype=bool)  # left the scan; never for ML
+    found = np.zeros(len(ctx), dtype=bool)
     best = np.full(len(ctx), -np.inf)
+    lo, hi = _count_windows(pmf, eps, n)
+    live = np.ones(len(ctx), dtype=bool) if decoder == "ml" \
+        else _feasible(ctx, ctx_size, lo, hi)  # still scanning
     # exact in float32: the windows are integers
-    lo, hi = (w.reshape(cells, 1).astype(np.float32)
-              for w in _count_windows(pmf, eps, n))
+    lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in (lo, hi))
     if start is None:
         tile = max(1, min(width, CHUNK_ELEMENTS // (8 * n * sym)))
         step = max(1, min(len(ctx), CHUNK_ELEMENTS // (cells * tile)))
@@ -364,7 +411,9 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
         base = np.multiply(ctx, sym, dtype=_cell_dtype(cells))[:, None, :]
         start = np.broadcast_to(start, lead).reshape(-1, 1)
     for first in range(0, width, tile):
-        todo = np.flatnonzero(~found)
+        todo = np.flatnonzero(live)
+        if not len(todo):
+            break
         whole = len(todo) == len(ctx)  # then chunk by cheaper slices
         offsets = np.arange(first, min(first + tile, width))
         if start is None:
@@ -400,13 +449,15 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
             ok &= counts <= hi
             ok = np.logical_and.reduce(ok, axis=1)
             hit = found[blocks] = ok.any(axis=-1)
+            live[blocks] = ~hit
             row[blocks] = np.where(hit, first + ok.argmax(axis=-1), 0)
     return row.reshape(lead), (found | (decoder == "ml")).reshape(lead)
 
 
-def _distinct_rows(codebook, base):
-    """The distinct rows of a (W, n) symbol codebook and the lowest row
-    index holding each, both ordered by that index.
+def _group_rows(words, base):
+    """(first, inverse) of a (W, n) symbol array: the lowest index holding
+    each distinct row, increasing, and for every row the position in
+    `first` of its word, so words[first][inverse] equals words.
 
     Rows are keyed as base-`base` integers built column by column. Before
     a column could overflow int64, and at the end if the keys span more
@@ -414,24 +465,32 @@ def _distinct_rows(codebook, base):
     sort), which are below W. A table over the key span then takes each
     key's lowest row with np.minimum.at, without a sort. The demo code's
     176,334 binary rows of n = 12 span 4,096 keys and are never ranked; a
-    wide alphabet or a codebook of fewer than base^n rows is.
+    wide alphabet or a batch of fewer than base^n rows is.
     """
-    rows = codebook.shape[0]
+    rows = words.shape[0]
     keys = np.zeros(rows, dtype=np.int64)
     span = 1
-    for col in codebook.T:
+    for col in words.T:
         if span * base > np.iinfo(np.int64).max:
             ranked, keys = np.unique(keys, return_inverse=True)
             span = ranked.size
         keys *= base
-        keys += col
+        np.add(keys, col, out=keys, casting="unsafe")  # symbols < base
         span *= base
     if span > rows:
         ranked, keys = np.unique(keys, return_inverse=True)
         span = ranked.size
-    first = np.full(span, rows)
-    np.minimum.at(first, keys, np.arange(rows))
-    first = np.sort(first[first < rows])
+    lowest = np.full(span, rows)
+    np.minimum.at(lowest, keys, np.arange(rows))
+    lowest = lowest[keys]  # the lowest row holding each row's word
+    new = lowest == np.arange(rows)
+    return np.flatnonzero(new), (np.cumsum(new) - 1)[lowest]
+
+
+def _distinct_rows(codebook, base):
+    """The distinct rows of a (W, n) symbol codebook and the lowest row
+    index holding each, both ordered by that index (_group_rows)."""
+    first, _ = _group_rows(codebook, base)
     return codebook[first], first
 
 
@@ -506,8 +565,8 @@ class ReconCode:
     only its head (_draw_u_head): the whole bins up to the one holding the
     last distinct word's first row, every row that a run reads. Next to it
     sit the distinct words and the lowest row of each, which the encoder
-    scans for every block (_pick's shared case): at most min(W, |U|^n)
-    words instead of all W rows. u_codebook, all W rows, is drawn on its
+    scans for every distinct source block (_pick's shared case): at most
+    min(W, |U|^n) words instead of all W rows. u_codebook, all W rows, is drawn on its
     first read and kept; u_rows gives the head whenever it holds the bins
     asked for. Every typicality test of the U layer uses the slack eps,
     the V layer's uses eps2 = 2 eps.
@@ -669,12 +728,15 @@ class ReconcileResult:
 
 def _encode_alice(x, code):
     """(omega, nu, found) per block: the lowest codebook row whose word is
-    jointly typical with x; a miss picks word 0, the word of row 0."""
-    word, found = _pick(x, code.tc_rows.shape[0], code.u_words, None,
-                        len(code.u_words), code.pmf_xu, None, code.eps,
-                        "typicality")
-    flat = code.u_first_rows[word]
-    return flat // code.w_nu, flat % code.w_nu, found
+    jointly typical with x; a miss picks word 0, the word of row 0. The
+    pick depends on x alone, so each distinct x is scanned once."""
+    lead, nx = x.shape[:-1], code.tc_rows.shape[0]
+    x = x.reshape(-1, code.n)
+    first, inverse = _group_rows(x, nx)
+    word, found = _pick(x[first], nx, code.u_words, None, len(code.u_words),
+                        code.pmf_xu, None, code.eps, "typicality")
+    flat = code.u_first_rows[word[inverse]].reshape(lead)
+    return flat // code.w_nu, flat % code.w_nu, found[inverse].reshape(lead)
 
 
 def _decode_u(y, omega_idx, code, decoder):
@@ -689,8 +751,6 @@ def _v_books(code, omega_idx, nu_idx):
     among the blocks, each drawn once and stacked into one table, and the
     table row at which each block's codebook starts."""
     first = np.zeros(np.shape(omega_idx), dtype=np.intp)
-    if code.nv_size == 1:  # every bin has the same all-zero codebook
-        return code.v_codebook(0, 0), first
     bins, which = np.unique(omega_idx * code.w_nu + nu_idx,
                             return_inverse=True)
     books = np.concatenate([code.v_codebook(*divmod(int(b), code.w_nu))
@@ -711,12 +771,22 @@ def _cover_v(y, shat_u, books, first, code, decoder):
     return flat // code.w_l, books[first + flat]
 
 
+def _no_v(rows):
+    """(k, v) per block without a V layer: every V codeword of every bin
+    is all-zero, so the cover and the recovery pick row 0 under either
+    decoder."""
+    return (np.zeros(rows.shape[:-1], dtype=np.intp),
+            np.zeros(rows.shape, dtype=np.uint8))
+
+
 def _decode_bob(y, omega_idx, code, decoder):
     """Bob's side given the public bin indices: pick nu within each bin,
     then cover (u, y) with a V codeword. Also the eavesdropper's procedure
     when run on z. Returns (shat_u, nu, k, shat_v, found) per block."""
     nu_idx, found = _decode_u(y, omega_idx, code, decoder)
     shat_u = code.u_rows(omega_idx)[omega_idx * code.w_nu + nu_idx]
+    if code.nv_size == 1:
+        return (shat_u, nu_idx) + _no_v(shat_u) + (found,)
     books, first = _v_books(code, omega_idx, nu_idx)
     k_idx, shat_v = _cover_v(y, shat_u, books, first, code, decoder)
     return shat_u, nu_idx, k_idx, shat_v, found
@@ -744,7 +814,8 @@ def reconcile(x, y, code, decoder="typicality"):
     (1, 1), and publishes omega. Bob picks the lowest admissible nu in the
     bin, covers (u, y) with a V codeword, and publishes its k index. Alice
     then recovers her own V estimate inside (her nu, his k). Each distinct
-    bin's V codebook is drawn once per call, for Bob and Alice together.
+    bin's V codebook is drawn once per call, for Bob and Alice together;
+    without a V layer none is, k is 0 and both V layers are all-zero.
     """
     _check_decoder(decoder)
     x = np.asarray(x)
@@ -765,11 +836,15 @@ def reconcile(x, y, code, decoder="typicality"):
     s_u = u_rows[omega_idx * code.w_nu + nu_idx]
     bob_nu, bob_found = _decode_u(y, omega_idx, code, decoder)
     shat_u = u_rows[omega_idx * code.w_nu + bob_nu]
-    # one table for both parties' bins; Alice recovers inside hers
-    books, first = _v_books(code, np.stack([omega_idx, omega_idx]),
-                            np.stack([nu_idx, bob_nu]))
-    k_idx, shat_v = _cover_v(y, shat_u, books, first[1], code, decoder)
-    s_v = _recover_alice(x, s_u, books, first[0], k_idx, code, decoder)
+    if code.nv_size == 1:
+        k_idx, shat_v = _no_v(shat_u)
+        s_v = np.zeros_like(shat_v)
+    else:
+        # one table for both parties' bins; Alice recovers inside hers
+        books, first = _v_books(code, np.stack([omega_idx, omega_idx]),
+                                np.stack([nu_idx, bob_nu]))
+        k_idx, shat_v = _cover_v(y, shat_u, books, first[1], code, decoder)
+        s_v = _recover_alice(x, s_u, books, first[0], k_idx, code, decoder)
     return ReconcileResult(
         s_u=s_u, s_v=s_v, shat_u=shat_u, shat_v=shat_v,
         a_msg=omega_idx + 1, b_msg=k_idx + 1,

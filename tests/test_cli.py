@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqkey
 from seqkey.binary import BscCascadeSource, c_rec_bsc, c_wsk_bsc
 from seqkey.cli import (
     build_parser,
@@ -482,3 +487,25 @@ def test_cli_bytes_frozen(name, tmp_path, capsys):
     assert main(argv + ["-o", str(out)]) == 0
     data = capsys.readouterr().out.encode() + out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == FROZEN_DIGESTS[name]
+
+
+def test_runs_as_a_module(tmp_path):
+    # python -m seqkey is the seqkey command, exit code included
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(seqkey.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "seqkey", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    out = str(tmp_path / "ce.jsonl")
+    done = run("counterexample", "-o", out)
+    assert done.returncode == 0, done.stderr
+    assert "gap confirmed" in done.stdout
+    (rec,) = read_records(out)
+    assert rec["command"] == "counterexample"
+    bad = run("counterexample", "--grid", "1")
+    assert bad.returncode == 2 and "at least 2" in bad.stderr

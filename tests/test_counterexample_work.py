@@ -3,7 +3,9 @@
 Every alpha1 whose trace lands on the constraint curve costs exactly one
 ``counterexample_fgh`` call: the report reuses the h of both optima rather
 than evaluating them again. Non-finite and non-positive rates go through
-``check_rate``, and the CLI maps them to exit code 2.
+``check_rate``, and the CLI maps them to exit code 2, as it does a rate so
+small that the optima miss the constraint by more than ``RESIDUAL_REL``
+times the rate.
 """
 
 import math
@@ -49,3 +51,22 @@ def test_rate_goes_through_check_rate(r1, message, capsys):
         counterexample_solve(REFERENCE, r1)
     assert main(["counterexample", f"--r1={r1!r}"]) == 2
     assert capsys.readouterr().err.strip() == f"seqkey: {message}"
+
+
+@pytest.mark.parametrize("r1, residual", [(1e-300, "2.65e-14"),
+                                          (1e-12, "2e-16")])
+def test_rate_below_trace_resolution_is_refused(r1, residual, capsys):
+    # at 1e-300 the report was dust ("no gap", c_wsk 3.3e-14 bits); at
+    # 1e-12 relative_loss read 0.071 against 0.196 from 1e-9 up
+    message = (f"rate {r1!r} is below what the constraint trace resolves: "
+               f"its residual {residual} exceeds 1e-06 r1")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        counterexample_solve(REFERENCE, r1)
+    assert main(["counterexample", f"--r1={r1!r}"]) == 2
+    assert capsys.readouterr().err.strip() == f"seqkey: {message}"
+
+
+def test_smallest_resolved_rate_is_reported():
+    rep = counterexample_solve(REFERENCE, 1e-9)
+    assert rep.constraint_residual <= binary.RESIDUAL_REL * 1e-9
+    assert rep.relative_loss == pytest.approx(0.1958, abs=1e-4)

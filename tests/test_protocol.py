@@ -1224,3 +1224,95 @@ class TestRunExperiment:
             n=12, m=1, k=8, epsilon=0.15, trials=300, seed=42))
         assert mets.p_e < 0.15
         assert mets.alice_encode_rate > 0.1
+
+
+# ------------------------------------------------ skipped scans are exact
+
+def _all_words(size, n):
+    """Every word of length n over range(size), in lexicographic order."""
+    return np.indices((size,) * n).reshape(n, -1).T
+
+
+def _ternary_code():
+    return ReconCode.generate(TERNARY_J, TERNARY_TC, n=4, epsilon=0.5,
+                              seed=4, rates=TERNARY_RATES)
+
+
+# (flat cell masses, context alphabet): zero-mass cells (identity and
+# ternary (x, u)), none (BSC(0.2) and skewed (x, u)), and Bob's (y, u)
+# cells, whose 0.05 masses hold no count at these n
+FEASIBILITY_PMFS = {
+    "xu_identity": lambda: (bsc_code(4).pmf_xu, 2),
+    "xu_bsc0.2": lambda: (ReconCode.generate(
+        J_BSC, TestChannel.bsc(0.2), n=4, epsilon=WIDE_EPS, seed=0,
+        rates=WIDE_RATES).pmf_xu, 2),
+    "xu_skew": lambda: (ReconCode.generate(
+        J_BSC, TC_SKEW, n=4, epsilon=WIDE_EPS, seed=0,
+        rates=WIDE_RATES).pmf_xu, 2),
+    "yu_identity": lambda: (bsc_code(4).pmf_yu, 2),
+    "xu_ternary": lambda: (_ternary_code().pmf_xu, 3),
+    "yu_ternary": lambda: (_ternary_code().pmf_yu, 3),
+}
+
+
+@pytest.mark.parametrize("eps", [0.15, 0.3, 0.5])
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in FEASIBILITY_PMFS if not name.endswith("ternary")
+    for n in (4, 6, 8)] + [("xu_ternary", 4), ("yu_ternary", 4)])
+def test_feasibility_equals_brute_force(name, n, eps, monkeypatch):
+    # a context word is feasible exactly when some word of U^n is typical
+    # with it; checked for every context word, a few blocks per chunk
+    pmf, ctx_size = FEASIBILITY_PMFS[name]()
+    sym = pmf.size // ctx_size
+    words, contexts = _all_words(sym, n), _all_words(ctx_size, n)
+    want = [oracle.typical_mask(ctx * sym + words, pmf, eps, n).any()
+            for ctx in contexts]
+    monkeypatch.setattr(protocol, "CHUNK_ELEMENTS", 20 * (n + ctx_size))
+    got = protocol._feasible(contexts, ctx_size,
+                             *_count_windows(pmf, eps, n))
+    assert got.tolist() == want
+
+
+def test_encoder_on_repeated_infeasible_and_untypical_blocks():
+    # 512 rows, fewer than the 4,096 words of n = 12: under the identity
+    # test channel a balanced x is feasible but typical only with itself,
+    # which the codebook may not hold; an unbalanced x is infeasible
+    code = bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25,
+                                            r_v=0.0, r_v_prime=0.0))
+    words = _all_words(2, 12).astype(np.uint8)
+    balanced = words[words.sum(axis=1) == 6]
+    held = np.isin(balanced @ (1 << np.arange(12)),
+                   code.u_words @ (1 << np.arange(12)))
+    assert held.any() and not held.all()
+    x = np.concatenate([balanced[held][:15], balanced[~held][:15],
+                        words[:15]])
+    x = np.concatenate([x, x[::-1], x[::3]])  # every block again
+    lo, hi = _count_windows(code.pmf_xu, code.eps, 12)
+    feasible = protocol._feasible(x, 2, lo, hi)
+    assert feasible[:30].all() and not feasible[30:45].any()
+    omega, nu_idx, found = _encode_alice(x, code)
+    for b in range(len(x)):
+        assert (omega[b], nu_idx[b], found[b]) == _scan_encode(x[b], code)
+    assert found[:15].all() and not found[15:45].any()
+
+
+@pytest.mark.parametrize("decoder", ["typicality", "ml"])
+@pytest.mark.parametrize("name", sorted(BATCH_CODES))
+def test_repeated_blocks_match_oracle(name, decoder):
+    # each x twice, with a different y the second time
+    code = _batch_code(name)
+    x, y, z = _blocks(code.n, 30, seed=11)
+    _, y2, z2 = _blocks(code.n, 30, seed=12)
+    x, y, z = (np.concatenate(pair) for pair in ((x, x[::-1]), (y, y2),
+                                                  (z, z2)))
+    res = reconcile(x, y, code, decoder)
+    eve = _decode_bob(z, res.a_msg - 1, code, decoder)
+    for b in range(len(x)):
+        want = oracle.reconcile(x[b], y[b], code, decoder)
+        for f in fields(ReconcileResult):
+            assert np.array_equal(getattr(res, f.name)[b],
+                                  getattr(want, f.name)), (b, f.name)
+        want_eve = oracle.decode_bob(z[b], int(res.a_msg[b]) - 1, code,
+                                     decoder)
+        for got, ref in zip(eve, want_eve):
+            assert np.array_equal(got[b], ref), b

@@ -1239,10 +1239,15 @@ def _ternary_code():
 
 
 # (flat cell masses, context alphabet): zero-mass cells (identity and
-# ternary (x, u)), none (BSC(0.2) and skewed (x, u)), and Bob's (y, u)
-# cells, whose 0.05 masses hold no count at these n
+# ternary (x, u)), none (BSC(0.2) and skewed (x, u)), Bob's (y, u) cells,
+# whose 0.05 masses hold no count at these n, and contexts of unequal mass
+# (prior 0.3), the only ones here where a context can exceed its caps
+# while every other context still meets its needs
 FEASIBILITY_PMFS = {
     "xu_identity": lambda: (bsc_code(4).pmf_xu, 2),
+    "xu_prior0.3": lambda: (ReconCode.generate(
+        BscCascadeSource(0.1, 0.3, prior=0.3).joint(), TC_ID, n=4,
+        epsilon=0.15, seed=0).pmf_xu, 2),
     "xu_bsc0.2": lambda: (ReconCode.generate(
         J_BSC, TestChannel.bsc(0.2), n=4, epsilon=WIDE_EPS, seed=0,
         rates=WIDE_RATES).pmf_xu, 2),

@@ -9,7 +9,9 @@ checks) and is frozen here; the test suite re-verifies every entry with an
 independent implementation.
 
 One multiply serves every table N: ``gf_mul`` takes ints or integer arrays,
-broadcasts them, and works on uint64 throughout.
+broadcasts them, and works on uint64 throughout, four bits of one operand
+per step. Its one-step reduction needs every tap below N - 3, which the
+table meets (its largest tap is N - 4, at N = 8).
 """
 
 from __future__ import annotations
@@ -67,21 +69,40 @@ def gf_mul(a, b, n):
     """Product of a and b in GF(2^n), elementwise over broadcast arrays.
 
     a and b are ints or integer arrays; the result is uint64 of their
-    broadcast shape (a numpy scalar for two scalars). Shift-and-reduce
-    reads the top bit before each shift, so every intermediate stays
-    below 2^n and n = 64 fits in uint64.
+    broadcast shape (a numpy scalar for two scalars).
+
+    Horner's rule over b's 4-bit windows, top window first, in
+    ceil(n/4) steps: each step multiplies the partial product by x^4 and
+    adds a w for b's next window w, read from a 16-entry table of a w per
+    element. The 4 bits that x^4 shifts out, t, come back as t x^n mod f =
+    t (f - x^n), one entry of a 16-entry reduction table; every tap lies
+    below n - 3, so that entry is below 2^n and one step reduces exactly.
+    Values sit in the top n bits of a uint64 word, so the shift drops the
+    4 bits with no mask, and n = 64 fits.
     """
     n = check_int(n, "field size", 8, 64)
-    f = modulus(n)
     a = _elements(a, n, "a")
     b = _elements(b, n, "b")
-    one = np.uint64(1)
-    top = np.uint64(n - 1)
-    mask = np.uint64((1 << n) - 1)
-    low = np.uint64(f ^ (1 << n))  # reduction mask once the top bit shifts out
-    r = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
-    for i in range(n):
-        r ^= a * ((b >> np.uint64(i)) & one)
-        a = ((a << one) & mask) ^ (a >> top) * low
-    return r[()]
-
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    up = np.uint64(64 - n)
+    low = modulus(n) ^ (1 << n)
+    red = [0]  # red[t] = t (f - x^n) for t = 0..15
+    for i in range(4):
+        red += [r ^ low << i for r in red]
+    red = np.array(red, dtype=np.uint64) << up
+    a = np.broadcast_to(a, shape).ravel() << up
+    table = [np.zeros_like(a), a]  # table[w] = a w for w = 0..15
+    for i in range(1, 4):
+        a_i = (a << np.uint64(i)) ^ red[a >> np.uint64(64 - i)]  # a x^i
+        table += [r ^ a_i for r in table]
+    table = np.stack(table, axis=1).ravel()
+    # row s: each element's index into the table for b's window s
+    shifts = np.arange(4 * ((n - 1) // 4), -1, -4, dtype=np.uint64)
+    windows = np.broadcast_to(b, shape).ravel() >> shifts[:, None]
+    windows &= np.uint64(15)
+    windows += np.arange(0, table.size, 16, dtype=np.uint64)
+    r = table[windows[0]]
+    four, top = np.uint64(4), np.uint64(60)
+    for window in windows[1:]:
+        r = (r << four) ^ red[r >> top] ^ table[window]
+    return (r >> up).reshape(shape)[()]

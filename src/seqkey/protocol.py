@@ -71,12 +71,15 @@ when a row past the head is read.
 
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
-spawn key (3, t). The keys of every trial come from one array pass of
-SeedSequence's uint32 hash mix (_philox_keys), and one reused Philox is
-set to each key with counter 0, so every draw equals that of a fresh
-generator per trial. The leakage estimate and its 32 shuffles are one
-array pass that adds each plug-in sum's terms in the order, and with the
-log2, of a dict loop over the pairs (leakage_estimate).
+spawn key (3, t). The keys of both streams for every trial come from one
+array pass of SeedSequence's uint32 hash mix (_philox_keys), and one
+reused Philox is set to each key with counter 0, so every draw equals
+that of a fresh generator per trial. A hash seed is taken as raw Philox
+words, the top bit of each 32-bit half a seed bit, low half first, which
+is what Generator.integers(0, 2, N) draws (_trial_draws). The leakage
+estimate and its 32 shuffles, drawn by one Generator.permuted call, are
+one array pass that adds each plug-in sum's terms in the order, and with
+the log2, of a dict loop over the pairs (leakage_estimate).
 
 Discrete-side conventions: rates and information quantities in bits.
 """
@@ -136,21 +139,24 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-def _philox_keys(seed, stream, trials):
-    """(trials, 2) uint64 Philox keys of _stream(seed, stream, t) for
-    t = 0..trials-1: SeedSequence(seed, spawn_key=(stream, t))
-    .generate_state(2, uint64), by numpy's documented uint32 hash mix.
+def _philox_keys(seed, streams, trials):
+    """(len(streams), trials, 2) uint64 Philox keys of _stream(seed, s, t)
+    for each s in streams and t = 0..trials-1:
+    SeedSequence(seed, spawn_key=(s, t)).generate_state(2, uint64), by
+    numpy's documented uint32 hash mix.
 
     The entropy is the seed's 32-bit words, little end first, zero-padded
-    to the pool of 4, then the spawn key. Each word is a uint32 array; the
-    trial index, mixed in last, is the only one of length trials, so only
-    its mixing is done per trial.
+    to the pool of 4, then the spawn key. Each word is a uint32 array: the
+    stream ids a column, the trial indices a row, mixed in last, so the
+    seed's words are mixed once, each stream's once, and only the trial's
+    per key.
     """
     seed = int(seed)
     words = [seed >> s & _MASK32
              for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words)) + [stream]
+    words += [0] * (_POOL - len(words))
     entropy = [np.full(1, w, dtype=np.uint32) for w in words]
+    entropy.append(np.array(streams, dtype=np.uint32)[:, None])
     entropy.append(np.arange(trials, dtype=np.uint32))
     const = _INIT_A
     pool = []
@@ -173,21 +179,8 @@ def _philox_keys(seed, stream, trials):
         const = const * _MULT_B & _MASK32
         word = word * np.uint32(const)
         state.append(word ^ word >> 16)
-    state = np.stack(state, axis=1).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
-
-
-def _trial_streams(seed, stream, trials):
-    """One generator, yielded once per trial t = 0..trials-1 in the state
-    of a fresh _stream(seed, stream, t): that trial's key, counter 0 and
-    no buffered output (integers draws use buffered 32-bit halves)."""
-    bit_gen = np.random.Philox(key=0)
-    state = bit_gen.state
-    rng = np.random.Generator(bit_gen)
-    for key in _philox_keys(seed, stream, trials):
-        state["state"]["key"] = key
-        bit_gen.state = state
-        yield rng
+    state = np.stack(state, axis=-1).astype(np.uint64)
+    return state[..., 0::2] | state[..., 1::2] << np.uint64(32)
 
 
 def _count_cuts(uniforms, cuts, shape):
@@ -977,7 +970,10 @@ def leakage_estimate(keys, views, rng):
                              "non-empty")
     key_code, n_keys = _codes(keys)
     view_code, n_views = _codes(views)
-    shuffles = [rng.permutation(trials) for _ in range(SHUFFLE_ROUNDS)]
+    # row r is what the r-th of SHUFFLE_ROUNDS rng.permutation(trials)
+    # calls would return
+    shuffles = rng.permuted(
+        np.tile(np.arange(trials), (SHUFFLE_ROUNDS, 1)), axis=1)
     # row 0 pairs the keys as given, row r > 0 by shuffle r; pair ids are
     # distinct across rows
     pairs = np.vstack([key_code, key_code[shuffles]])
@@ -1004,14 +1000,35 @@ def _trial_draws(j, params, n_bits):
     """(x, y, z, hash_seeds) of every trial: x, y and z are (trials, m, n)
     symbols, hash_seeds (trials, n_bits) bits. Trial t draws its n m
     source uniforms from _stream(seed, 1, t) and its hash seed from
-    _stream(seed, 3, t), one reused generator set to each stream's key."""
+    _stream(seed, 3, t), one reused Philox set to each stream's key with
+    counter 0.
+
+    A hash seed is what _stream(seed, 3, t).integers(0, 2, n_bits) draws:
+    numpy's Lemire draw for a range of 2 takes the top bit of each 32-bit
+    half of the raw words, low half first. So each seed is
+    ceil(n_bits / 2) raw words, turned into bits in one array pass.
+    """
     trials, shape = params.trials, (params.trials, params.m, params.n)
+    bit_gen = np.random.Philox(key=0)
+    state = bit_gen.state  # counter 0, no buffered output
+    # the state setter reads these element by element, and Python ints
+    # read faster than numpy scalars
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    rng = np.random.Generator(bit_gen)
     draws = np.empty((trials, params.m * params.n))
-    for t, rng in enumerate(_trial_streams(params.seed, 1, trials)):
+    words = np.empty((trials, (n_bits + 1) // 2), dtype=np.uint64)
+    for t, (source_key, seed_key) in enumerate(
+            zip(*_philox_keys(params.seed, (1, 3), trials).tolist())):
+        state["state"]["key"] = source_key
+        bit_gen.state = state
         rng.random(out=draws[t])
-    hash_seeds = np.empty((trials, n_bits), dtype=np.uint8)
-    for t, rng in enumerate(_trial_streams(params.seed, 3, trials)):
-        hash_seeds[t] = rng.integers(0, 2, n_bits)
+        state["state"]["key"] = seed_key
+        bit_gen.state = state
+        words[t] = bit_gen.random_raw(words.shape[1])
+    halves = words[..., None] >> np.array([31, 63], dtype=np.uint64)
+    hash_seeds = (halves & np.uint64(1)).astype(np.uint8).reshape(
+        trials, -1)[:, :n_bits]
     x, y, z = (a.reshape(shape) for a in _source_symbols(j, draws))
     return x, y, z, hash_seeds
 

@@ -449,6 +449,21 @@ BYTE_CASES = {
         "p = 0.1\nq = 0.5\nn = 8\nm = 8\nk = 4\nepsilon = 0.15\n"
         "trials = 150\nseed = 20260816\ndecoder = ml\n"),
     "simulate_demo": (["simulate", "--demo"], None),
+    # odd hash inputs (N = 9, 13): a partial top nibble in the multiply and
+    # a dropped high half in the last hash-seed word
+    "simulate_ml_n9": (
+        ["simulate"],
+        "p = 0.1\nq = 0.3\nn = 9\nm = 1\nk = 4\nepsilon = 0.15\n"
+        "trials = 200\nseed = 7\ndecoder = ml\n"),
+    "simulate_ml_n13": (
+        ["simulate"],
+        "p = 0.1\nq = 0.3\nn = 13\nm = 1\nk = 4\nepsilon = 0.15\n"
+        "trials = 200\nseed = 7\ndecoder = ml\n"),
+    # one trial: every leakage shuffle is a one-element row
+    "simulate_one_trial": (
+        ["simulate"],
+        "p = 0.1\nq = 0.5\nn = 8\nm = 8\nk = 4\nepsilon = 0.15\n"
+        "trials = 1\nseed = 20260816\ndecoder = ml\n"),
 }
 
 FROZEN_DIGESTS = {
@@ -474,6 +489,12 @@ FROZEN_DIGESTS = {
         "6e30692b22ec7fcd52d7da0bf4db19d8efa171cae57a42f21acaf5aae07decf3",
     "simulate_demo":
         "a6bd0955d6cf5137afe2554b920266e05ae7368f04d63992b353ccad94e13422",
+    "simulate_ml_n9":
+        "74d4200ff2eaa446b4537d3afa2738af74b7a0d32db48dc67aade513d5fd9881",
+    "simulate_ml_n13":
+        "54b9a9a919e650d5c2422cf2a5e0f8582c85e7553b435641aab17d041e3e5913",
+    "simulate_one_trial":
+        "e5efb3184340366b13c39a753e8088de022e4e4c7e00162fc1f7afa3de6a01dd",
 }
 
 

@@ -30,6 +30,21 @@ def _pmod(a, f):
     return a
 
 
+def _serial_mul(a, b, n):
+    """Bit-serial shift-and-reduce product of uint64 arrays in GF(2^n): the
+    multiply gf_mul used before it took 4-bit windows. It reads the top bit
+    before each shift, so every intermediate stays below 2^n."""
+    one = np.uint64(1)
+    top = np.uint64(n - 1)
+    mask = np.uint64((1 << n) - 1)
+    low = np.uint64(modulus(n) ^ (1 << n))
+    r = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    for i in range(n):
+        r ^= a * ((b >> np.uint64(i)) & one)
+        a = ((a << one) & mask) ^ (a >> top) * low
+    return r
+
+
 def _pgcd(a, b):
     while b:
         a, b = b, _pmod(a, b)
@@ -68,6 +83,8 @@ class TestPolynomialTable:
             assert len(taps) in (1, 3)
             assert all(0 < k < n for k in taps)
             assert list(taps) == sorted(taps, reverse=True)
+            # gf_mul reduces a 4-bit shift in one table step only if so
+            assert taps[0] + 3 < n
 
     @pytest.mark.parametrize("n", sorted(POLY_TAPS))
     def test_irreducible(self, n):
@@ -159,12 +176,21 @@ class TestVectorMul:
         top = (1 << n) - 1
         a = [rng.getrandbits(n) for _ in range(60)] + [top, top, 0, 1, top]
         b = [rng.getrandbits(n) for _ in range(60)] + [top, 1, top, top, 0]
-        out = gf_mul(np.array(a, dtype=np.uint64),
-                     np.array(b, dtype=np.uint64), n)
+        a, b = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+        out = gf_mul(a, b, n)
         assert out.dtype == np.uint64 and out.shape == (len(a),)
         f = modulus(n)
         assert [int(v) for v in out] == [
-            _pmod(_clmul(x, y), f) for x, y in zip(a, b)]
+            _pmod(_clmul(int(x), int(y)), f) for x, y in zip(a, b)]
+        assert np.array_equal(out, _serial_mul(a, b, n))
+        # privacy_amplify's broadcast: (T, 3) inputs against (T, 1) seeds
+        s, seeds = a[-39:].reshape(13, 3), b[-13:, None]
+        out = gf_mul(s, seeds, n)
+        assert out.shape == (13, 3)
+        assert np.array_equal(out, _serial_mul(s, seeds, n))
+        assert [int(v) for v in out.ravel()] == [
+            _pmod(_clmul(int(x), int(y)), f)
+            for x, y in zip(s.ravel(), np.repeat(seeds, 3))]
 
     @pytest.mark.parametrize("n", [8, 33, 64])
     def test_scalar_operands_give_0d_results(self, n):

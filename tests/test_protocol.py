@@ -479,6 +479,9 @@ LOOP_CONFIGS = {
     "v_layer_ml": (0.3, 8, 4, 8, "ml", 20260816, 60, True),
     "v_layer_typicality_big_seed": (0.3, 8, 4, 8, "typicality", 2 ** 40,
                                     60, True),
+    # N = 9: the last raw word's high half is dropped
+    "odd_bits_ml": (0.3, 9, 1, 4, "ml", 7, 200, False),
+    "one_trial": (0.5, 8, 8, 4, "ml", 20260816, 1, False),
 }
 
 
@@ -492,11 +495,14 @@ class TestTrialStreams:
                                       2 ** 64 + 3, 2 ** 130])
     @pytest.mark.parametrize("stream", [1, 3])
     def test_keys_match_seed_sequence(self, seed, stream):
-        got = _philox_keys(seed, stream, 5001)
         want = [np.random.SeedSequence(seed, spawn_key=(stream, t))
                 .generate_state(2, np.uint64) for t in range(5001)]
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, want)
+        # alone, and as one row of the two-stream call _trial_draws makes
+        for streams in ((stream,), (1, 3)):
+            got = _philox_keys(seed, streams, 5001)
+            assert got.dtype == np.uint64
+            assert got.shape == (len(streams), 5001, 2)
+            assert np.array_equal(got[streams.index(stream)], want)
 
     @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
     def test_draws_and_metrics_equal_per_trial_loop(self, name,
@@ -1028,7 +1034,7 @@ class TestLeakageEstimate:
         with pytest.raises(ParameterError):
             leakage_estimate([], [], _stream(0))
 
-    @pytest.mark.parametrize("trials", [150, 500, 2000])
+    @pytest.mark.parametrize("trials", [7, 150, 500, 2000])
     def test_equals_dict_loop_oracle(self, trials):
         # numpy-int and int keys, a single distinct key, tuple views from
         # one distinct view up to all distinct (saturated)

@@ -449,7 +449,7 @@ BYTE_CASES = {
         "p = 0.1\nq = 0.5\nn = 8\nm = 8\nk = 4\nepsilon = 0.15\n"
         "trials = 150\nseed = 20260816\ndecoder = ml\n"),
     "simulate_demo": (["simulate", "--demo"], None),
-    # odd hash inputs (N = 9, 13): a partial top nibble in the multiply and
+    # odd hash inputs (N = 9, 13): a partial top window in the multiply and
     # a dropped high half in the last hash-seed word
     "simulate_ml_n9": (
         ["simulate"],

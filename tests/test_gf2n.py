@@ -83,7 +83,7 @@ class TestPolynomialTable:
             assert len(taps) in (1, 3)
             assert all(0 < k < n for k in taps)
             assert list(taps) == sorted(taps, reverse=True)
-            # gf_mul reduces a 4-bit shift in one table step only if so
+            # gf_mul's one-step reduction of a 4-bit shift needs this
             assert taps[0] + 3 < n
 
     @pytest.mark.parametrize("n", sorted(POLY_TAPS))

@@ -1,23 +1,23 @@
 """Desk-scale Monte-Carlo simulation of sequential key distillation.
 
 One experiment = a fixed random code, then independent trials of:
-i.i.d. source sampling, two-message Wyner-Ziv style reconciliation
-(typicality encoding into a doubly indexed codebook, bin index exchanged,
-conditional covering of the V layer), and privacy amplification of the
+i.i.d. source sampling, one-message Wyner-Ziv style reconciliation
+(typicality encoding into a doubly indexed codebook, the bin index made
+public, Bob's decode inside that bin), and privacy amplification of the
 reconciled sequence pair through the GF(2^N) multiplication hash. The
 empirical outputs are the reliability, leakage, and uniformity metrics.
 
 The reconciliation steps follow the random-coding protocol literally,
 lowest-index tie-breaks and the (1,1) fallback included. Alice's encoder,
-Bob's U decode and V cover, Alice's V recovery and Eve's decode are each
-one scan over candidate words (_pick). Typicality depends only on the
-joint type of a block with a word, so the encoder tests each distinct U
-word once, at most min(W, |U|^n) of them for a W-row codebook, and answers
-with the lowest row holding a typical word, as a scan of every row would.
-Every test compares integer joint counts with integer windows computed
-once from the float thresholds (_count_windows), which decides exactly as
-the float comparison would. ML sums each candidate's log-likelihoods over
-its positions, and that float sum settles ties between words of equal
+Bob's decode and Eve's decode are each one scan over candidate words
+(_pick). Typicality depends only on the joint type of a block with a
+word, so the encoder tests each distinct U word once, at most
+min(W, |U|^n) of them for a W-row codebook, and answers with the lowest
+row holding a typical word, as a scan of every row would. Every test
+compares integer joint counts with integer windows computed once from the
+float thresholds (_count_windows), which decides exactly as the float
+comparison would. ML sums each candidate's log-likelihoods over its
+positions, and that float sum settles ties between words of equal
 likelihood, so a word in a higher row can win one.
 
 A scan runs only for blocks whose answer it can change:
@@ -31,17 +31,12 @@ A scan runs only for blocks whose answer it can change:
   (_feasible). At n = 12 a cell of mass 0.05 admits no count at all, so
   Bob's and Eve's typicality decodes of the BSC demo scan nothing, and only
   the balanced x enter the encoder's scan.
-* Without a V layer every V codeword is all-zero, so the V cover and the
-  V recovery pick row 0 under either decoder; neither is run.
 
 Every stage takes a batch of blocks, (..., n) arrays whose leading axes
 are batch axes; one block is a batch of one. The scan takes candidates in
 tiles and blocks in chunks, within CHUNK_ELEMENTS, so its intermediates
-stay small for any number of blocks or candidates. With a V layer, each
-call draws the codebook of each distinct (omega, nu) bin once, for every
-block in that bin, and holds those codebooks (one byte per symbol) until
-it returns. Two consequences at n <= 14 are worth knowing before reading
-any numbers:
+stay small for any number of blocks or candidates. Two consequences at
+n <= 14 are worth knowing before reading any numbers:
 
 * Robust typicality is brutally quantized at these block lengths: a cell
   with mass 0.05 admits no valid count at all below n = 18, so the decoder
@@ -57,17 +52,16 @@ any numbers:
 
 Every symbol counts its uniform against the cuts of a cumulative pmf
 (_count_cuts), as Generator.choice's search does: U codebook symbols
-against p_U, each V codebook column against p_{V|u} of its U symbol, the
-source against the joint's masses in flat order. A codebook's uniforms
-are drawn in chunks of CHUNK_ELEMENTS into one reused buffer, so a draw
-holds its symbols and one chunk. The distinct U words and the lowest row
-of each come from a table indexed by the words' base-|U| keys, without a
-sort. The U codebook is drawn chunk by chunk only until every one of the
-|U|^n words has appeared and the rows reach the end of the bin holding
-the last word's first row (_draw_u_head). Every row a run reads lies in
-that head: Alice picks first rows, Bob and Eve scan her published bin,
-and the V codebooks key off those rows. The whole codebook is drawn only
-when a row past the head is read.
+against p_U, the source against the joint's masses in flat order. A
+codebook's uniforms are drawn in chunks of CHUNK_ELEMENTS into one reused
+buffer, so a draw holds its symbols and one chunk. The distinct U words
+and the lowest row of each come from a table indexed by the words'
+base-|U| keys, without a sort. The U codebook is drawn chunk by chunk
+only until every one of the |U|^n words has appeared and the rows reach
+the end of the bin holding the last word's first row (_draw_u_head).
+Every row a run reads lies in that head: Alice picks first rows, and Bob
+and Eve scan her published bin. The whole codebook is drawn only when a
+row past the head is read.
 
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
@@ -95,18 +89,11 @@ import numpy as np
 
 from seqkey.errors import InfeasibleError, ParameterError
 from seqkey.gf2n import POLY_TAPS, gf_mul
-from seqkey.measures import (
-    LN2,
-    DiscreteJoint,
-    check_int,
-    check_stochastic,
-    entropy_nats,
-)
-from seqkey.optimizer import TestChannel, rate_constraint
+from seqkey.measures import LN2, check_int, check_stochastic, entropy_nats
+from seqkey.optimizer import rate_constraint
 
 LOG_ZERO = -1e18          # finite stand-in for log 0 in ML scores
 MAX_U_CODEWORDS = 1 << 22  # U codebook memory budget (rows)
-MAX_V_CODEWORDS = 1 << 16  # per-bin V codebook budget
 CHUNK_ELEMENTS = 1 << 16   # symbols one pick or draw holds at once
 SHUFFLE_ROUNDS = 32
 _COUNT_FUZZ = 1e-9         # absorbs float error at integer window edges
@@ -190,10 +177,9 @@ def _count_cuts(uniforms, cuts, shape):
 
     uniforms is an array shaped `shape`, or a Generator whose uniforms are
     those of one rng.random(shape), drawn row chunk by row chunk into one
-    reused buffer: the same stream in the same order. Each cut broadcasts
-    against one row of symbols, so a cut may differ per column. Rows go in
-    chunks of at most CHUNK_ELEMENTS uniforms, so a draw holds its symbols
-    and one chunk. Each cut is one pass over the chunk: cheap for the few
+    reused buffer: the same stream in the same order. Rows go in chunks of
+    at most CHUNK_ELEMENTS uniforms, so a draw holds its symbols and one
+    chunk. Each cut is one pass over the chunk: cheap for the few
     cuts of a small alphabet, linear in their number where a search would
     be logarithmic.
     """
@@ -257,8 +243,6 @@ class Rates:
 
     r_u: float
     r_u_prime: float
-    r_v: float
-    r_v_prime: float
 
     def __post_init__(self):
         for name, rate in vars(self).items():
@@ -266,10 +250,10 @@ class Rates:
                 raise ParameterError(f"{name} must be finite, got {rate!r}")
 
 
-def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
-    """R_u = I(X;U|Y) + 6 eps H(U) and companions, all in bits."""
+def design_rates(j, tc_u, epsilon=0.15):
+    """R_u = I(X;U|Y) + 6 eps H(U) and R_u' = I(Y;U) - 3 eps H(U), in
+    bits."""
     _check_epsilon(epsilon)
-    eps2 = 2.0 * epsilon
 
     def h(a):
         return float(entropy_nats(a) / LN2)
@@ -282,28 +266,12 @@ def design_rates(j, tc_u, v_given_yu=None, epsilon=0.15):
     i_yu = h(p_yu.sum(axis=1)) + h_u - h(p_yu)
     r_u = rate_constraint(j, tc_u) + 6.0 * epsilon * h_u
     r_u_prime = i_yu - 3.0 * epsilon * h_u
-    if v_given_yu is None:
-        r_v = r_v_prime = 0.0
-    else:
-        v_given_yu = check_stochastic(v_given_yu, "v channel", axis=2,
-                                      shape=(j.dims[1], tc_u.u_size, "|V|"))
-        # designed joint over (x, y, u, v)
-        p4 = np.einsum("ab,au,buv->abuv", p_xy, tc_u.rows, v_given_yu)
-        i_v_y_xu = (h(p4.sum(axis=1)) + h(p4.sum(axis=3))
-                    - h(p4.sum(axis=(1, 3))) - h(p4))
-        p_uv = p4.sum(axis=(0, 1))
-        i_v_x_u = (h(p4.sum(axis=(1, 3))) + h(p_uv)
-                   - h(p_uv.sum(axis=1)) - h(p4.sum(axis=1)))
-        h_v_u = h(p_uv) - h(p_uv.sum(axis=1))
-        r_v = i_v_y_xu + 6.0 * eps2 * h_v_u
-        r_v_prime = i_v_x_u - 3.0 * eps2 * h_v_u
-    return Rates(r_u=r_u, r_u_prime=r_u_prime, r_v=r_v,
-                 r_v_prime=r_v_prime)
+    return Rates(r_u=r_u, r_u_prime=r_u_prime)
 
 
 def _size(rate_bits, n):
-    # a rate past the U budget's 22 bits is infeasible whatever the others
-    # are; it is refused before 2^(n rate), which may overflow, is formed
+    # a rate past the budget's 22 bits is infeasible whatever the other
+    # is; it is refused before 2^(n rate), which may overflow, is formed
     bits = n * max(rate_bits, 0.0)
     if bits > math.log2(MAX_U_CODEWORDS):
         raise InfeasibleError(
@@ -319,12 +287,6 @@ def _count_windows(pmf_flat, eps, n):
     widened by _COUNT_FUZZ, which also gives a zero-mass cell lo = hi = 0."""
     return (np.ceil(n * pmf_flat * (1.0 - eps) - _COUNT_FUZZ),
             np.floor(n * pmf_flat * (1.0 + eps) + _COUNT_FUZZ))
-
-
-def _cell_dtype(cells):
-    """The integer dtype of flat cell codes below `cells`: int16 where
-    they fit, half the bytes of int32."""
-    return np.int16 if cells <= 1 << 15 else np.int32
 
 
 def _feasible(ctx, ctx_size, lo, hi):
@@ -401,7 +363,9 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
         size = n if decoder == "ml" else 2 * (n + cells)
         tile = max(1, min(width, CHUNK_ELEMENTS // (2 * size)))
         step = max(1, CHUNK_ELEMENTS // (2 * tile * size))
-        base = np.multiply(ctx, sym, dtype=_cell_dtype(cells))[:, None, :]
+        # flat cell codes in int16 where they fit, half the bytes of int32
+        base = np.multiply(ctx, sym, dtype=np.int16 if cells <= 1 << 15
+                           else np.int32)[:, None, :]
         start = np.broadcast_to(start, lead).reshape(-1, 1)
     for first in range(0, width, tile):
         todo = np.flatnonzero(live)
@@ -538,12 +502,6 @@ def _draw_u_head(rng, p_u, rows, n, w_nu):
     return head, head[first_rows], first_rows
 
 
-def _conditional(num, den, fallback):
-    """num / den where den > 0 and fallback elsewhere; den broadcasts
-    against num."""
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), fallback)
-
-
 def _log_table(p):
     return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), LOG_ZERO)
 
@@ -559,14 +517,9 @@ class ReconCode:
     last distinct word's first row, every row that a run reads. Next to it
     sit the distinct words and the lowest row of each, which the encoder
     scans for every distinct source block (_pick's shared case): at most
-    min(W, |U|^n) words instead of all W rows. u_codebook, all W rows, is drawn on its
-    first read and kept; u_rows gives the head whenever it holds the bins
-    asked for. Every typicality test of the U layer uses the slack eps,
-    the V layer's uses eps2 = 2 eps.
-    V codebooks are per-(omega, nu) and are regenerated on demand from
-    their own stream key, which keeps them fixed across trials without
-    materializing all of them; a reconcile call draws each bin it needs
-    once.
+    min(W, |U|^n) words instead of all W rows. u_codebook, all W rows, is
+    drawn on its first read and kept; u_rows gives the head whenever it
+    holds the bins asked for. Every typicality test uses the slack eps.
     """
 
     n: int
@@ -575,34 +528,18 @@ class ReconCode:
     rates: Rates
     w_u: int
     w_nu: int
-    w_k: int
-    w_l: int
     tc_rows: np.ndarray
-    v_given_yu: np.ndarray          # (ny, nu, nv); nv = 1 means no V layer
     p_u: np.ndarray                 # (nu,) pmf of the U codebook's symbols
     u_head: np.ndarray              # (H, n) leading rows of u_codebook
     u_words: np.ndarray             # (D, n) distinct rows of u_codebook
     u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
     pmf_xu: np.ndarray              # flat typicality references
     pmf_yu: np.ndarray
-    pmf_uyv: np.ndarray
-    pmf_xuv: np.ndarray
-    ll_y_given_u: np.ndarray        # (ny, nu) nat-log ML tables
-    ll_v_given_uy: np.ndarray       # (nu, ny, nv)
-    ll_v_given_xu: np.ndarray       # (nx, nu, nv)
-    p_v_cum_by_u: np.ndarray        # (nu, nv) cumulative p_{V|U}
+    ll_y_given_u: np.ndarray        # (ny, nu) nat-log ML table
 
     @property
     def nu_size(self):
         return self.tc_rows.shape[1]
-
-    @property
-    def nv_size(self):
-        return self.v_given_yu.shape[2]
-
-    @property
-    def eps2(self):
-        return 2.0 * self.eps
 
     @cached_property
     def u_codebook(self):
@@ -621,102 +558,55 @@ class ReconCode:
         return self.u_codebook
 
     @classmethod
-    def generate(cls, j, tc_u, n, epsilon, seed, v_given_yu=None,
-                 rates=None):
+    def generate(cls, j, tc_u, n, epsilon, seed, rates=None):
         n = _check_block_length(n)
         _check_epsilon(epsilon)
         seed = check_int(seed, "seed")
-        nx, ny, _ = j.dims
         check_stochastic(tc_u.rows, "test channel", axis=1,
-                         shape=(nx, "|U|"))
-        nu = tc_u.u_size
-        if v_given_yu is None:
-            v_given_yu = np.ones((ny, nu, 1))
-        else:
-            v_given_yu = check_stochastic(v_given_yu, "v channel", axis=2,
-                                          shape=(ny, nu, "|V|"))
-        nv = v_given_yu.shape[2]
-        _check_alphabets("XYZUV", j.dims + (nu, nv))
+                         shape=(j.dims[0], "|U|"))
+        _check_alphabets("XYZU", j.dims + (tc_u.u_size,))
         if rates is None:
-            v_arg = None if nv == 1 else v_given_yu
-            rates = design_rates(j, tc_u, v_arg, epsilon)
+            rates = design_rates(j, tc_u, epsilon)
 
         w_u, w_nu = _size(rates.r_u, n), _size(rates.r_u_prime, n)
-        w_k, w_l = _size(rates.r_v, n), _size(rates.r_v_prime, n)
         if w_u * w_nu > MAX_U_CODEWORDS:
             raise InfeasibleError(
                 f"U codebook of {w_u} x {w_nu} codewords exceeds the "
                 f"codebook budget 2^22; lower n or the rates")
-        if w_k * w_l > MAX_V_CODEWORDS:
-            raise InfeasibleError(
-                f"V codebook of {w_k} x {w_l} codewords per bin exceeds "
-                "2^16; lower n or the rates")
 
-        p_x = j.marginal((0,))
-        p_xy = j.marginal((0, 1))
-        p_xu = p_x[:, None] * tc_u.rows
+        p_xu = j.marginal((0,))[:, None] * tc_u.rows
         p_u = p_xu.sum(axis=0)
-        p_yu = np.einsum("ab,au->bu", p_xy, tc_u.rows)
-        p_uyv = p_yu.T[:, :, None] * v_given_yu.transpose(1, 0, 2)
-        p_xuv = np.einsum("ab,au,buv->auv", p_xy, tc_u.rows, v_given_yu)
-
-        cond_y_u = _conditional(p_yu, p_u, 0.0)
-        p_v_u = p_uyv.sum(axis=1)
-        p_v_by_u = _conditional(p_v_u, p_v_u.sum(axis=1, keepdims=True),
-                                1.0 / nv)
-        cond_v_uy = _conditional(
-            p_uyv, p_uyv.sum(axis=2, keepdims=True), 1.0 / nv)
-        cond_v_xu = _conditional(
-            p_xuv, p_xuv.sum(axis=2, keepdims=True), 1.0 / nv)
-
+        p_yu = np.einsum("ab,au->bu", j.marginal((0, 1)), tc_u.rows)
+        # p(y|u), 0 for a u without mass
+        cond_y_u = np.where(p_u > 0.0, p_yu / np.where(p_u > 0.0, p_u, 1.0),
+                            0.0)
         u_head, u_words, u_first_rows = _draw_u_head(
             _stream(seed, 0), p_u, w_u * w_nu, n, w_nu)
 
         return cls(
             n=n, seed=seed, eps=epsilon, rates=rates, w_u=w_u,
-            w_nu=w_nu, w_k=w_k, w_l=w_l, tc_rows=tc_u.rows,
-            v_given_yu=v_given_yu, p_u=p_u, u_head=u_head, u_words=u_words,
-            u_first_rows=u_first_rows,
+            w_nu=w_nu, tc_rows=tc_u.rows, p_u=p_u, u_head=u_head,
+            u_words=u_words, u_first_rows=u_first_rows,
             pmf_xu=p_xu.ravel(), pmf_yu=p_yu.ravel(),
-            pmf_uyv=p_uyv.ravel(), pmf_xuv=p_xuv.ravel(),
             ll_y_given_u=_log_table(cond_y_u),
-            ll_v_given_uy=_log_table(cond_v_uy),
-            ll_v_given_xu=_log_table(cond_v_xu),
-            p_v_cum_by_u=np.cumsum(p_v_by_u, axis=1),
         )
-
-    def v_codebook(self, omega_idx, nu_idx):
-        """(w_k * w_l, n) V codewords of bin (omega, nu), symbols drawn
-        conditionally on that bin's U codeword. Without a V layer
-        (nv = 1) every symbol is 0."""
-        if self.nv_size == 1:
-            return np.zeros((self.w_k * self.w_l, self.n), dtype=np.uint8)
-        u_row = self.u_rows(omega_idx)[omega_idx * self.w_nu + nu_idx]
-        # column i counts its uniforms against the cuts of p_{V|u_i}
-        return _count_cuts(_stream(self.seed, 2, omega_idx, nu_idx),
-                           self.p_v_cum_by_u[u_row, :-1].T,
-                           (self.w_k * self.w_l, self.n))
 
 
 @dataclass(frozen=True)
 class ReconcileResult:
     """Outcome of every block of a reconcile call. Each field carries the
-    batch's leading axes; the four sequences add the last axis n."""
+    batch's leading axes; the two sequences add the last axis n."""
 
     s_u: np.ndarray          # Alice's U-layer sequence (the key material)
-    s_v: np.ndarray          # Alice's recovered V layer
     shat_u: np.ndarray       # Bob's U-layer estimate
-    shat_v: np.ndarray       # Bob's own V layer
     a_msg: np.ndarray        # bin index omega, 1-based
-    b_msg: np.ndarray        # V bin index k, 1-based
     alice_found: np.ndarray
     bob_found: np.ndarray
 
     @property
     def agree(self):
-        """One bool per block: Bob's U and V layers equal Alice's."""
-        return np.all((self.s_u == self.shat_u) & (self.s_v == self.shat_v),
-                      axis=-1)
+        """One bool per block: Bob's sequence equals Alice's."""
+        return np.all(self.s_u == self.shat_u, axis=-1)
 
 
 def _encode_alice(x, code):
@@ -732,83 +622,27 @@ def _encode_alice(x, code):
     return flat // code.w_nu, flat % code.w_nu, found[inverse].reshape(lead)
 
 
-def _decode_u(y, omega_idx, code, decoder):
-    """Bob's (nu, found) per block, within its public bin omega."""
-    return _pick(y, code.v_given_yu.shape[0], code.u_rows(omega_idx),
-                 omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
-                 code.ll_y_given_u, code.eps, decoder)
-
-
-def _v_books(code, omega_idx, nu_idx):
-    """(books, first): the V codebooks of the distinct (omega, nu) bins
-    among the blocks, each drawn once and stacked into one table, and the
-    table row at which each block's codebook starts."""
-    first = np.zeros(np.shape(omega_idx), dtype=np.intp)
-    bins, which = np.unique(omega_idx * code.w_nu + nu_idx,
-                            return_inverse=True)
-    books = np.concatenate([code.v_codebook(*divmod(int(b), code.w_nu))
-                            for b in bins])
-    first[...] = which.reshape(first.shape) * (code.w_k * code.w_l)
-    return books, first
-
-
-def _cover_v(y, shat_u, books, first, code, decoder):
-    """Bob's (k, v) per block: the V codeword of his bin's codebook (table
-    rows from `first`) that covers (u, y)."""
-    ny = code.v_given_yu.shape[0]
-    ctx = np.multiply(shat_u, ny, dtype=_cell_dtype(code.pmf_uyv.size))
-    ctx += y
-    flat, _ = _pick(ctx, code.nu_size * ny, books, first,
-                    code.w_k * code.w_l, code.pmf_uyv, code.ll_v_given_uy,
-                    code.eps2, decoder)
-    return flat // code.w_l, books[first + flat]
-
-
-def _no_v(rows):
-    """(k, v) per block without a V layer: every V codeword of every bin
-    is all-zero, so the cover and the recovery pick row 0 under either
-    decoder."""
-    return (np.zeros(rows.shape[:-1], dtype=np.intp),
-            np.zeros(rows.shape, dtype=np.uint8))
-
-
 def _decode_bob(y, omega_idx, code, decoder):
-    """Bob's side given the public bin indices: pick nu within each bin,
-    then cover (u, y) with a V codeword. Also the eavesdropper's procedure
-    when run on z. Returns (shat_u, nu, k, shat_v, found) per block."""
-    nu_idx, found = _decode_u(y, omega_idx, code, decoder)
-    shat_u = code.u_rows(omega_idx)[omega_idx * code.w_nu + nu_idx]
-    if code.nv_size == 1:
-        return (shat_u, nu_idx) + _no_v(shat_u) + (found,)
-    books, first = _v_books(code, omega_idx, nu_idx)
-    k_idx, shat_v = _cover_v(y, shat_u, books, first, code, decoder)
-    return shat_u, nu_idx, k_idx, shat_v, found
-
-
-def _recover_alice(x, s_u, books, first, k_idx, code, decoder):
-    """Alice's V estimate per block, picked among the w_l codewords of
-    Bob's k group in her bin's codebook (table rows from `first`)."""
-    start = first + k_idx * code.w_l
-    ctx = np.multiply(x, code.nu_size, dtype=_cell_dtype(code.pmf_xuv.size))
-    ctx += s_u
-    l_idx, _ = _pick(ctx, code.pmf_xu.size, books, start, code.w_l,
-                     code.pmf_xuv, code.ll_v_given_xu, code.eps2, decoder)
-    return books[start + l_idx]
+    """Bob's (shat_u, nu, found) per block: the word he picks within its
+    public bin omega. Also the eavesdropper's procedure when run on z."""
+    rows = code.u_rows(omega_idx)
+    nu_idx, found = _pick(y, code.ll_y_given_u.shape[0], rows,
+                          omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
+                          code.ll_y_given_u, code.eps, decoder)
+    return rows[omega_idx * code.w_nu + nu_idx], nu_idx, found
 
 
 def reconcile(x, y, code, decoder="typicality"):
-    """The two-message protocol on a batch of blocks; see the module
+    """The one-message protocol on a batch of blocks; see the module
     docstring.
 
     x and y are (..., n) integer arrays of equal shape that hold symbols of
     X and Y; the leading axes are batch axes and every field of the result
     carries them (one length-n block gives 0-d fields). Per block, Alice
     encodes x into the lowest typical (omega, nu) pair, falling back to
-    (1, 1), and publishes omega. Bob picks the lowest admissible nu in the
-    bin, covers (u, y) with a V codeword, and publishes its k index. Alice
-    then recovers her own V estimate inside (her nu, his k). Each distinct
-    bin's V codebook is drawn once per call, for Bob and Alice together;
-    without a V layer none is, k is 0 and both V layers are all-zero.
+    (1, 1), and publishes omega, the only public message. Bob picks the
+    lowest admissible nu in that bin, and its word is his estimate of
+    Alice's.
     """
     _check_decoder(decoder)
     x = np.asarray(x)
@@ -819,29 +653,17 @@ def reconcile(x, y, code, decoder="typicality"):
     if x.size == 0:
         raise ParameterError("x and y hold no block")
     for name, seq, size in (("x", x, code.tc_rows.shape[0]),
-                            ("y", y, code.v_given_yu.shape[0])):
+                            ("y", y, code.ll_y_given_u.shape[0])):
         if not np.issubdtype(seq.dtype, np.integer) or seq.min() < 0 \
                 or seq.max() >= size:
             raise ParameterError(
                 f"{name} must hold integer symbols in [0, {size})")
     omega_idx, nu_idx, alice_found = _encode_alice(x, code)
-    u_rows = code.u_rows(omega_idx)  # the head: Alice picks first rows
-    s_u = u_rows[omega_idx * code.w_nu + nu_idx]
-    bob_nu, bob_found = _decode_u(y, omega_idx, code, decoder)
-    shat_u = u_rows[omega_idx * code.w_nu + bob_nu]
-    if code.nv_size == 1:
-        k_idx, shat_v = _no_v(shat_u)
-        s_v = np.zeros_like(shat_v)
-    else:
-        # one table for both parties' bins; Alice recovers inside hers
-        books, first = _v_books(code, np.stack([omega_idx, omega_idx]),
-                                np.stack([nu_idx, bob_nu]))
-        k_idx, shat_v = _cover_v(y, shat_u, books, first[1], code, decoder)
-        s_v = _recover_alice(x, s_u, books, first[0], k_idx, code, decoder)
-    return ReconcileResult(
-        s_u=s_u, s_v=s_v, shat_u=shat_u, shat_v=shat_v,
-        a_msg=omega_idx + 1, b_msg=k_idx + 1,
-        alice_found=alice_found, bob_found=bob_found)
+    # the head: Alice picks first rows
+    s_u = code.u_rows(omega_idx)[omega_idx * code.w_nu + nu_idx]
+    shat_u, _, bob_found = _decode_bob(y, omega_idx, code, decoder)
+    return ReconcileResult(s_u=s_u, shat_u=shat_u, a_msg=omega_idx + 1,
+                           alice_found=alice_found, bob_found=bob_found)
 
 
 def _source_symbols(j, draws):
@@ -1033,7 +855,7 @@ def _trial_draws(j, params, n_bits):
     return x, y, z, hash_seeds
 
 
-def run_experiment(j, tc_u, params, v_given_yu=None):
+def run_experiment(j, tc_u, params):
     """End-to-end experiment; deterministic in (params.seed, params).
 
     The eavesdropper decodes by running Bob's procedure on z, so Z must
@@ -1046,10 +868,9 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
             "her decoder runs Bob's procedure on z")
     code = ReconCode.generate(
         j, tc_u, n=params.n, epsilon=params.epsilon, seed=params.seed,
-        v_given_yu=v_given_yu, rates=params.rates)
+        rates=params.rates)
     bits_u = _bits_per_symbol(code.nu_size)
-    bits_v = _bits_per_symbol(code.nv_size)
-    n_bits = params.m * params.n * (bits_u + bits_v)
+    n_bits = params.m * params.n * bits_u
     if n_bits not in POLY_TAPS:
         raise InfeasibleError(
             f"hash input of {n_bits} bits has no field table entry; "
@@ -1058,23 +879,16 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
         raise ParameterError(
             f"key length {params.k} exceeds the {n_bits}-bit hash input")
 
-    trials, m, n = params.trials, params.m, params.n
+    trials = params.trials
     x, y, z, hash_seeds = _trial_draws(j, params, n_bits)
     res = reconcile(x, y, code, params.decoder)
-    e_u, _, _, e_v, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
-    # symbols by trial, party (Alice, Bob, Eve), block, layer (U, V)
-    syms = np.stack([np.stack(layers, axis=2) for layers in (
-        (res.s_u, res.s_v), (res.shat_u, res.shat_v), (e_u, e_v))], axis=1)
+    e_u, _, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
+    # symbols by trial, party (Alice, Bob, Eve), block; each block
+    # contributes its U bits
+    syms = np.stack([res.s_u, res.shat_u, e_u], axis=1)
+    s_bits = _unpack_bits(syms, bits_u).reshape(trials, 3, n_bits)
     z_types = [tuple(row) for row in np.stack(
         [(z == c).sum(axis=(1, 2)) for c in range(nz)], axis=1).tolist()]
-
-    def layer_bits(layer, width):
-        return _unpack_bits(syms[:, :, :, layer], width).reshape(
-            trials, 3, m, n * width)
-
-    # each block contributes its U bits, then its V bits
-    s_bits = np.concatenate([layer_bits(0, bits_u), layer_bits(1, bits_v)],
-                            axis=-1).reshape(trials, 3, n_bits)
     keys = _pack_bits(privacy_amplify(
         s_bits, hash_seeds[:, None, :], params.k)).tolist()
     keys_seen = [key for key, _, _ in keys]
@@ -1087,7 +901,7 @@ def run_experiment(j, tc_u, params, v_given_yu=None):
         h_key -= (c / trials) * math.log2(c / trials)
     leakage, null_mean, null_sd = leakage_estimate(
         keys_seen, views, _stream(params.seed, 4))
-    blocks = trials * m
+    blocks = trials * params.m
     return RunMetrics(
         p_e=errors / trials,
         leakage_est=leakage,

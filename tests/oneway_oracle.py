@@ -36,10 +36,19 @@ from seqkey.optimizer import (
     CapacityResult,
     OptimizerOptions,
     TestChannel,
-    _log_mass,
-    _log_softmax,
     _precompute,
 )
+
+
+def _log_softmax(theta):
+    # normalize logits over U, so that exp(theta) is row-stochastic
+    top = theta.max(axis=2, keepdims=True)
+    return theta - top - np.log(np.exp(theta - top).sum(axis=2, keepdims=True))
+
+
+def _log_mass(a):
+    # floored at ZERO_MASS, so every logit stays finite
+    return np.log(np.maximum(a, ZERO_MASS))
 
 
 class _Masses:

@@ -1,12 +1,11 @@
 """Reference for the reconciliation tests: the block-by-block protocol.
 
 This is how ``seqkey.protocol`` reconciled before every stage took leading
-batch axes: one block per call, the V codebook of a bin drawn again for
-each block that used it (for Bob's cover and again for Alice's recovery).
-The functions are copied from that version as they were, so a test can ask
-the batched library for the same indices and words, block for block; the
-per-cell float comparison of typicality sits in its own function, so a
-test can compare it with the integer count windows.
+batch axes: one block per call. The functions are copied from that version
+as they were, less its second message (the V layer, since deleted), so a
+test can ask the batched library for the same indices and words, block for
+block; the per-cell float comparison of typicality sits in its own
+function, so a test can compare it with the integer count windows.
 """
 
 import numpy as np
@@ -53,36 +52,18 @@ def encode_alice(x, code):
 
 
 def decode_bob(y, omega_idx, code, decoder):
-    """(shat_u, nu_idx, k_idx, shat_v, found) for one block; also the
-    eavesdropper's procedure when run on z."""
+    """(shat_u, nu_idx, found) for one block; also the eavesdropper's
+    procedure when run on z."""
     lo = omega_idx * code.w_nu
     cand = code.u_codebook[lo:lo + code.w_nu]
     codes = y.astype(np.int16)[None, :] * code.nu_size + cand
     nu_idx, found = pick(codes, code.pmf_yu, code.ll_y_given_u,
                          code.eps, code.n, decoder)
-    shat_u = cand[nu_idx]
-
-    vcands = code.v_codebook(omega_idx, nu_idx)
-    ny, nv = code.v_given_yu.shape[0], code.nv_size
-    codes = (shat_u.astype(np.int32)[None, :] * ny
-             + y.astype(np.int32)[None, :]) * nv + vcands
-    flat, _ = pick(codes, code.pmf_uyv, code.ll_v_given_uy,
-                   code.eps2, code.n, decoder)
-    return shat_u, nu_idx, flat // code.w_l, vcands[flat], found
-
-
-def recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder):
-    lo = k_idx * code.w_l
-    acands = code.v_codebook(omega_idx, nu_idx)[lo:lo + code.w_l]
-    codes = (x.astype(np.int32)[None, :] * code.nu_size
-             + s_u.astype(np.int32)[None, :]) * code.nv_size + acands
-    l_idx, _ = pick(codes, code.pmf_xuv, code.ll_v_given_xu,
-                    code.eps2, code.n, decoder)
-    return acands[l_idx]
+    return cand[nu_idx], nu_idx, found
 
 
 def reconcile(x, y, code, decoder="typicality"):
-    """One block of the two-message protocol, with scalar result fields."""
+    """One block of the one-message protocol, with scalar result fields."""
     if decoder not in ("typicality", "ml"):
         raise ParameterError(
             f"decoder must be 'typicality' or 'ml', got {decoder!r}")
@@ -93,10 +74,7 @@ def reconcile(x, y, code, decoder="typicality"):
             f"x and y must be length-{code.n} sequences")
     omega_idx, nu_idx, alice_found = encode_alice(x, code)
     s_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
-    shat_u, _, k_idx, shat_v, bob_found = decode_bob(
-        y, omega_idx, code, decoder)
-    s_v = recover_alice(x, s_u, omega_idx, nu_idx, k_idx, code, decoder)
+    shat_u, _, bob_found = decode_bob(y, omega_idx, code, decoder)
     return ReconcileResult(
-        s_u=s_u, s_v=s_v, shat_u=shat_u, shat_v=shat_v,
-        a_msg=omega_idx + 1, b_msg=k_idx + 1,
+        s_u=s_u, shat_u=shat_u, a_msg=omega_idx + 1,
         alice_found=alice_found, bob_found=bob_found)

@@ -65,11 +65,6 @@ def _v_channel(row):
     return v
 
 
-def _generate(v_given_yu):
-    return ReconCode.generate(J_BSC, TC_ID, n=4, epsilon=0.15, seed=0,
-                              v_given_yu=v_given_yu)
-
-
 # site: (call on a whole input, the input built from one row, an input of
 # the wrong rank or None where any rank is a pmf)
 PMF_SITES = {
@@ -89,7 +84,6 @@ PMF_SITES = {
     "TwoWayChannels": (
         lambda v: TwoWayChannels(TC_ID, v), _v_channel,
         np.full((2, 2), 0.5)),
-    "ReconCode.generate": (_generate, _v_channel, np.full((2, 2), 0.5)),
 }
 
 
@@ -109,8 +103,8 @@ def test_bad_pmf_is_refused(call, masses):
 
 @pytest.mark.parametrize("site", sorted(PMF_SITES))
 def test_float_dust_is_clipped(site):
-    # the V channel of ReconCode.generate refused -1e-18, which every
-    # other site clips
+    # the V channel of ReconCode.generate, since deleted, refused
+    # -1e-18, which every other site clips
     call, embed, _ = PMF_SITES[site]
     call(embed(DUST_ROW))
 
@@ -119,13 +113,6 @@ def test_cascade_checks_its_channel_rows():
     # the rows sum to 0.9 and 1.1, and the joint to 1: it was accepted
     with pytest.raises(ParameterError):
         joint_from_cascade([0.5, 0.5], [[0.5, 0.4], [0.5, 0.6]])
-
-
-def test_checked_v_channel_keeps_the_code():
-    v = _v_channel([0.25, 0.75])
-    code = _generate(v)
-    assert np.array_equal(code.v_given_yu, v)
-    assert code.pmf_uyv.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 # ------------------------------------------------------------ integers

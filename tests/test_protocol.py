@@ -9,7 +9,6 @@ the literal protocol is about half of that (the chosen codeword sits at
 nu = 2 half the time while the decoder's fallback always points at 1).
 """
 
-import hashlib
 import math
 import tracemalloc
 from dataclasses import fields
@@ -31,10 +30,8 @@ from seqkey.protocol import (
     Rates,
     ReconCode,
     ReconcileResult,
-    RunMetrics,
     _count_windows,
     _decode_bob,
-    _decode_u,
     _distinct_rows,
     _draw_symbols,
     _encode_alice,
@@ -63,8 +60,7 @@ def bsc_code(n, epsilon=0.15, seed=0, rates=None):
 def under_rate_code():
     """n = 10 with R_u below I(X;U|Y): 2 bins of w_nu = 11,586 words."""
     base = design_rates(J_BSC, TC_ID, epsilon=0.15)
-    low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1,
-                r_v=0.0, r_v_prime=0.0)
+    low = Rates(r_u=0.1, r_u_prime=base.r_u + base.r_u_prime - 0.1)
     return bsc_code(10, seed=5, rates=low)
 
 
@@ -78,19 +74,6 @@ def _check_distinct_rows(codebook, base):
     assert np.array_equal(words, ref_words[order])
 
 
-def _drawn_v_codebook(code, omega, nu_idx):
-    """Reference V codebook: uniforms through the cumulative p_{V|U},
-    clamped to the alphabet."""
-    u_row = code.u_codebook[omega * code.w_nu + nu_idx]
-    r = _stream(code.seed, 2, omega, nu_idx).random(
-        (code.w_k * code.w_l, code.n))
-    out = np.empty(r.shape, dtype=np.uint8)
-    for i in range(code.n):
-        out[:, i] = np.searchsorted(code.p_v_cum_by_u[u_row[i]], r[:, i],
-                                    side="right")
-    return np.minimum(out, code.nv_size - 1)
-
-
 class TestDesignRates:
     def test_bsc_identity_values(self):
         # I(X;U|Y) = H_b(0.1), H(U) = 1, I(Y;U) = 1 - H_b(0.1)
@@ -98,23 +81,8 @@ class TestDesignRates:
         hxy = 0.46899559358928117
         assert r.r_u == pytest.approx(hxy + 0.9, abs=1e-12)
         assert r.r_u_prime == pytest.approx(1.0 - hxy - 0.45, abs=1e-12)
-        assert r.r_v == 0.0
-        assert r.r_v_prime == 0.0
         # the slack is the code's, not a rate
-        assert [f.name for f in fields(r)] == ["r_u", "r_u_prime", "r_v",
-                                               "r_v_prime"]
-
-    def test_v_layer_rates(self):
-        # V = Y through an erasure-free copy: I(V;Y|XU) = H(Y|XU)
-        v = np.zeros((2, 2, 2))
-        v[0, :, 0] = 1.0
-        v[1, :, 1] = 1.0
-        r = design_rates(J_BSC, TC_ID, v, epsilon=0.1)
-        hxy = 0.46899559358928117
-        assert r.r_v == pytest.approx(hxy + 1.2 * hxy, abs=1e-12)
-        # I(V;X|U) = 0 when U = X; the raw rate goes negative and the
-        # codebook shape clamps it to a single index
-        assert r.r_v_prime == pytest.approx(-0.6 * hxy, abs=1e-12)
+        assert [f.name for f in fields(r)] == ["r_u", "r_u_prime"]
 
     def test_epsilon_domain(self):
         with pytest.raises(ParameterError):
@@ -122,8 +90,8 @@ class TestDesignRates:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, bad):
-        for name in ("r_u", "r_u_prime", "r_v", "r_v_prime"):
-            rates = dict(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
+        for name in ("r_u", "r_u_prime"):
+            rates = dict(r_u=1.0, r_u_prime=0.25)
             rates[name] = bad
             with pytest.raises(ParameterError, match=name):
                 Rates(**rates)
@@ -135,7 +103,6 @@ class TestReconCode:
         r = code.rates
         assert code.w_u == math.ceil(2 ** (8 * r.r_u))
         assert code.w_nu == math.ceil(2 ** (8 * r.r_u_prime))
-        assert code.w_k == 1 and code.w_l == 1
         assert code.u_codebook.shape == (code.w_u * code.w_nu, 8)
 
     def test_codebook_deterministic(self):
@@ -178,27 +145,6 @@ class TestReconCode:
                                         p=p_u).astype(np.uint8)
             assert np.array_equal(code.u_codebook, want), n
 
-    def test_v_codebook_lazy_and_stable(self):
-        v = np.zeros((2, 2, 2))
-        v[0, :, 0] = 1.0
-        v[1, :, 1] = 1.0
-        code = ReconCode.generate(J_BSC, TC_ID, n=4, epsilon=0.15, seed=1,
-                                  v_given_yu=v)
-        first = code.v_codebook(2, 0)
-        assert first.shape == (code.w_k * code.w_l, 4)
-        assert np.array_equal(first, code.v_codebook(2, 0))
-        frozen = {
-            (2, 0): "8db2bb4d45cdeefc7b0a669379fc72aa"
-                    "0e0c4a21c79b2f0654f276127d8eca94",
-            (0, 1): "26907194a45389086f3086d8135b8376"
-                    "6bbb4bbc2b1eb9ce211a52c2e05c8afd",
-        }
-        for (omega, nu_idx), digest in frozen.items():
-            got = code.v_codebook(omega, nu_idx)
-            assert np.array_equal(
-                got, _drawn_v_codebook(code, omega, nu_idx))
-            assert hashlib.sha256(got.tobytes()).hexdigest() == digest
-
     def test_distinct_words_table(self):
         code = bsc_code(12, seed=20260816)
         words, first = np.unique(code.u_codebook, axis=0,
@@ -221,11 +167,9 @@ class TestReconCode:
         lambda: ReconCode.generate(
             TERNARY_J, TestChannel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0],
                                     [0.6, 0.4, 0.0]]),
-            n=6, epsilon=0.15, seed=2, rates=Rates(
-                r_u=1.5, r_u_prime=0.5, r_v=0.0, r_v_prime=0.0)),
+            n=6, epsilon=0.15, seed=2, rates=Rates(r_u=1.5, r_u_prime=0.5)),
         # 512 rows, fewer than the 4,096 words
-        lambda: bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25,
-                                                 r_v=0.0, r_v_prime=0.0)),
+        lambda: bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25)),
     ], ids=["n4", "n8", "n12", "n14", "under_rate", "skewed_p_u",
             "zero_mass_u", "rows_below_words"])
     def test_head_holds_every_first_row(self, make):
@@ -310,51 +254,20 @@ class TestReconCode:
         head = len(code.u_head)
         assert peak <= head * (n + 16) + 9 * CHUNK, (peak, head)
 
-    def test_v_codebook_equals_search_draw(self):
-        # three V symbols, so two cuts per column, each column's from its
-        # own U symbol; 2^16 rows of 8 are 8 chunks of uniforms
-        tall = ReconCode.generate(
-            J_BSC, TC_ID, n=8, epsilon=0.3, seed=2, v_given_yu=_v_channel(3),
-            rates=Rates(r_u=1.0, r_u_prime=0.25, r_v=1.5, r_v_prime=0.5))
-        for code in (_batch_code("nv3"), tall):
-            for omega, nu_idx in ((0, 0), (1, 0), (code.w_u - 1,
-                                                   code.w_nu - 1)):
-                got = code.v_codebook(omega, nu_idx)
-                assert got.dtype == np.uint8
-                assert np.array_equal(
-                    got, _drawn_v_codebook(code, omega, nu_idx))
-        assert code.w_k * code.w_l * code.n == 8 * CHUNK
-
-    def test_v_codebook_without_v_layer_matches_draw(self):
-        # nv = 1: the draw-then-clamp construction always gave zeros,
-        # also when explicit rates ask for several V codewords per bin
-        wide = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25)
-        codes = (bsc_code(8), bsc_code(8, rates=wide))
-        assert codes[1].w_k * codes[1].w_l == 16 * 4
-        for code in codes:
-            for omega, nu_idx in ((0, 0), (1, 0), (code.w_u - 1,
-                                                   code.w_nu - 1)):
-                got = code.v_codebook(omega, nu_idx)
-                assert got.dtype == np.uint8
-                assert np.array_equal(
-                    got, _drawn_v_codebook(code, omega, nu_idx))
-
     def test_budget_guard(self):
-        big = Rates(r_u=2.0, r_u_prime=1.0, r_v=0.0, r_v_prime=0.0)
+        big = Rates(r_u=2.0, r_u_prime=1.0)
         with pytest.raises(InfeasibleError):
             bsc_code(12, rates=big)
 
-    @pytest.mark.parametrize("field", ["r_u", "r_u_prime", "r_v",
-                                       "r_v_prime"])
+    @pytest.mark.parametrize("field", ["r_u", "r_u_prime"])
     @pytest.mark.parametrize("rate", [100.0, 200.0, 1e300])
     def test_oversized_rate_is_infeasible(self, field, rate):
         # 2^(n rate) overflowed a float at rate 200 and raised
         # OverflowError before the budget guard could answer
-        rates = dict(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
+        rates = dict(r_u=1.0, r_u_prime=0.25)
         rates[field] = rate
         with pytest.raises(InfeasibleError, match="codebook budget"):
             ReconCode.generate(J_BSC, TC_ID, n=8, epsilon=0.15, seed=0,
-                               v_given_yu=_v_channel(2),
                                rates=Rates(**rates))
 
     def test_windows_use_epsilon_with_explicit_rates(self):
@@ -365,7 +278,6 @@ class TestReconCode:
             J_BSC, TestChannel.bsc(0.2), n=8, epsilon=eps, seed=8,
             rates=WIDE_RATES) for eps in (0.15, WIDE_EPS))
         assert (narrow.eps, wide.eps) == (0.15, WIDE_EPS)
-        assert (narrow.eps2, wide.eps2) == (0.3, 2 * WIDE_EPS)
         x, y, _ = _blocks(8, 60, seed=8)
         assert not reconcile(x, y, narrow).alice_found.any()
         res = reconcile(x, y, wide)
@@ -386,12 +298,7 @@ class TestReconCode:
 
     def test_alphabet_over_uint8_rejected(self):
         # symbols are stored as uint8: these codes used to be built, their
-        # U or V symbols wrapped modulo 256
-        v = np.zeros((2, 2, 300))
-        v[..., 299] = 1.0
-        with pytest.raises(ParameterError, match=r"\|V\| = 300"):
-            ReconCode.generate(J_BSC, TC_ID, n=8, epsilon=0.15, seed=0,
-                               v_given_yu=v, rates=WIDE_RATES)
+        # U symbols wrapped modulo 256
         masses = np.zeros((300, 2, 2))
         masses[:, 0, 0] = 1.0 / 300
         with pytest.raises(ParameterError, match=r"\|X\| = 300"):
@@ -466,22 +373,18 @@ def _looped_draws(j, params, n_bits):
     return x, y, z, hash_seeds
 
 
-# (q, n, m, k, decoder, seed, trials, V layer), run against the loop
+# (q, n, m, k, decoder, seed, trials), run against the loop
 LOOP_CONFIGS = {
-    "short_ml": (0.5, 8, 8, 4, "ml", 20260816, 150, False),
-    "short_typicality": (0.5, 8, 8, 4, "typicality", 7, 150, False),
-    "short_ml_big_seed": (0.5, 8, 8, 4, "ml", 2 ** 64 + 3, 150, False),
-    "long_typicality": (0.5, 12, 4, 2, "typicality", 20260816, 10, False),
-    "long_ml_q03": (0.3, 12, 4, 2, "ml", 7, 10, False),
-    "q03_ml": (0.3, 8, 1, 4, "ml", 7, 500, False),
-    "q03_typicality_n12": (0.3, 12, 1, 8, "typicality", 2 ** 32 + 5, 200,
-                           False),
-    "v_layer_ml": (0.3, 8, 4, 8, "ml", 20260816, 60, True),
-    "v_layer_typicality_big_seed": (0.3, 8, 4, 8, "typicality", 2 ** 40,
-                                    60, True),
+    "short_ml": (0.5, 8, 8, 4, "ml", 20260816, 150),
+    "short_typicality": (0.5, 8, 8, 4, "typicality", 7, 150),
+    "short_ml_big_seed": (0.5, 8, 8, 4, "ml", 2 ** 64 + 3, 150),
+    "long_typicality": (0.5, 12, 4, 2, "typicality", 20260816, 10),
+    "long_ml_q03": (0.3, 12, 4, 2, "ml", 7, 10),
+    "q03_ml": (0.3, 8, 1, 4, "ml", 7, 500),
+    "q03_typicality_n12": (0.3, 12, 1, 8, "typicality", 2 ** 32 + 5, 200),
     # N = 9: the last raw word's high half is dropped
-    "odd_bits_ml": (0.3, 9, 1, 4, "ml", 7, 200, False),
-    "one_trial": (0.5, 8, 8, 4, "ml", 20260816, 1, False),
+    "odd_bits_ml": (0.3, 9, 1, 4, "ml", 7, 200),
+    "one_trial": (0.5, 8, 8, 4, "ml", 20260816, 1),
 }
 
 
@@ -507,21 +410,20 @@ class TestTrialStreams:
     @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
     def test_draws_and_metrics_equal_per_trial_loop(self, name,
                                                     monkeypatch):
-        q, n, m, k, decoder, seed, trials, v_layer = LOOP_CONFIGS[name]
+        q, n, m, k, decoder, seed, trials = LOOP_CONFIGS[name]
         j = BscCascadeSource(0.1, q).joint()
-        v = _v_channel(2) if v_layer else None
         params = ProtocolParams(n=n, m=m, k=k, epsilon=0.15, trials=trials,
                                 seed=seed, decoder=decoder)
-        n_bits = n * m * (2 if v_layer else 1)
+        n_bits = n * m
         for got, want in zip(_trial_draws(j, params, n_bits),
                              _looped_draws(j, params, n_bits)):
             assert got.dtype == want.dtype == np.uint8
             assert np.array_equal(got, want)
-        mets = run_experiment(j, TC_ID, params, v_given_yu=v)
+        mets = run_experiment(j, TC_ID, params)
         monkeypatch.setattr(protocol, "_trial_draws", _looped_draws)
         monkeypatch.setattr(protocol, "leakage_estimate",
                             leakage_oracle.leakage_estimate)
-        assert mets == run_experiment(j, TC_ID, params, v_given_yu=v)
+        assert mets == run_experiment(j, TC_ID, params)
 
 
 def _scan_encode(x, code):
@@ -545,7 +447,7 @@ def _scan_encode(x, code):
 # windows hold no integer count for n in {4, 8, 12}, so its code takes a
 # wider eps, with rates of its own.
 WIDE_EPS = 0.5
-WIDE_RATES = Rates(r_u=1.0, r_u_prime=0.25, r_v=0.0, r_v_prime=0.0)
+WIDE_RATES = Rates(r_u=1.0, r_u_prime=0.25)
 
 
 class TestEncodeAlice:
@@ -617,43 +519,26 @@ TERNARY_TC = TestChannel([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0],
 TERNARY_J = joint_from_cascade(
     [0.5, 0.25, 0.25], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
     [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
-TERNARY_RATES = Rates(r_u=1.2, r_u_prime=0.4, r_v=0.0, r_v_prime=0.0)
+TERNARY_RATES = Rates(r_u=1.2, r_u_prime=0.4)
 
 
 def test_ml_tables_fall_back_on_empty_contexts():
-    # U = 2 has no mass, and 6 of 9 (x, u) cells have none: each context
-    # without mass gets its table's fallback, 0 for p(y|u) and 1/nv for
-    # the V layer's conditionals; every other entry is num / den
+    # U = 2 has no mass, and 6 of 9 (x, u) cells have none: a u without
+    # mass gets p(y|u) = 0, and every other entry is num / den
     tc = TestChannel([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    v = np.stack([np.full((3, 2), 0.3), np.full((3, 2), 0.5),
-                  np.full((3, 2), 0.8)])
-    v[..., 1] = 1.0 - v[..., 0]
-    code = ReconCode.generate(
-        TERNARY_J, tc, n=4, epsilon=0.5, seed=4, v_given_yu=v,
-        rates=Rates(r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25))
+    code = ReconCode.generate(TERNARY_J, tc, n=4, epsilon=0.5, seed=4,
+                              rates=Rates(r_u=1.0, r_u_prime=0.25))
     p_u = code.pmf_xu.reshape(3, 3).sum(axis=0)
     p_yu = code.pmf_yu.reshape(3, 3)
-    p_uyv = code.pmf_uyv.reshape(3, 3, 2)
-    p_xuv = code.pmf_xuv.reshape(3, 3, 2)
-    p_v_u = p_uyv.sum(axis=1)
-    assert p_u[2] == 0.0 and (p_xuv.sum(axis=2) == 0.0).sum() == 6
+    assert p_u[2] == 0.0 and (code.pmf_xu == 0.0).sum() == 6
 
     def guarded(num, den, fallback):
         return np.array([n / d if d > 0.0 else fallback
                          for n, d in zip(num.ravel(), den.ravel())]
                         ).reshape(num.shape)
 
-    def cond_v(p):
-        return guarded(p, np.repeat(p.sum(axis=-1), 2), 0.5)
-
     assert np.array_equal(code.ll_y_given_u, protocol._log_table(
         guarded(p_yu, np.tile(p_u, 3), 0.0)))
-    assert np.array_equal(code.ll_v_given_uy,
-                          protocol._log_table(cond_v(p_uyv)))
-    assert np.array_equal(code.ll_v_given_xu,
-                          protocol._log_table(cond_v(p_xuv)))
-    assert np.array_equal(code.p_v_cum_by_u, np.cumsum(cond_v(p_v_u),
-                                                       axis=1))
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -693,7 +578,6 @@ class TestReconcile:
             x, y, _ = sample_source(j, 8, rng)
             res = reconcile(x, y, code)
             assert res.agree
-            assert res.b_msg == 1
 
     def test_error_rate_regression_n12(self):
         # frozen pilot: about P[balanced type] / 2 = 0.113
@@ -748,25 +632,9 @@ class TestReconcile:
                       np.zeros(8, dtype=np.uint8), code)
 
 
-def _v_channel(nv):
-    """p(v | y, u): V copies Y for nv = 2, a noisy three-level view for 3."""
-    v = np.zeros((2, 2, nv))
-    if nv == 2:
-        v[0, :, 0] = v[1, :, 1] = 1.0
-    else:
-        v[0, :, :] = [0.6, 0.3, 0.1]
-        v[1, :, :] = [0.1, 0.3, 0.6]
-    return v
-
-
-# codes for the batch-against-oracle tests; the V layers get several k
-# groups of several codewords each, so Alice's window is not one row
+# codes for the batch-against-oracle tests
 BATCH_CODES = {
     "no_v": dict(n=8, epsilon=0.15),
-    "nv2": dict(n=8, epsilon=0.15, v_given_yu=_v_channel(2), rates=Rates(
-        r_u=1.0, r_u_prime=0.25, r_v=0.5, r_v_prime=0.25)),
-    "nv3": dict(n=6, epsilon=0.3, v_given_yu=_v_channel(3), rates=Rates(
-        r_u=1.2, r_u_prime=0.3, r_v=0.6, r_v_prime=0.4)),
 }
 
 
@@ -819,7 +687,7 @@ class TestBatchedReconcile:
         assert (res.s_u[misses] == code.u_codebook[0]).all()
 
     def test_single_block_gives_0d_fields(self):
-        code = _batch_code("nv2")
+        code = _batch_code("no_v")
         x, y, _ = _blocks(code.n, 2, seed=4)
         res = reconcile(x[1], y[1], code, "ml")
         want = oracle.reconcile(x[1], y[1], code, "ml")
@@ -830,7 +698,7 @@ class TestBatchedReconcile:
         assert np.ndim(res.agree) == 0 and res.agree == want.agree
 
     def test_leading_axes_carry_through(self):
-        code = _batch_code("nv3")
+        code = _batch_code("no_v")
         x, y, _ = _blocks(code.n, 12, seed=8)
         flat = reconcile(x, y, code, "ml")
         grid = reconcile(x.reshape(3, 4, -1), y.reshape(3, 4, -1), code,
@@ -841,25 +709,6 @@ class TestBatchedReconcile:
             assert np.array_equal(got.reshape(want.shape), want)
         assert grid.agree.shape == (3, 4)
 
-    def test_v_codebook_drawn_once_per_bin(self, monkeypatch):
-        code = _batch_code("nv2")
-        x, y, _ = _blocks(code.n, 300, seed=9)
-        omega, alice_nu, _ = _encode_alice(x, code)
-        bob_nu, _ = _decode_u(y, omega, code, "ml")
-        drawn = []
-        draw = ReconCode.v_codebook
-
-        def counted(self, omega_idx, nu_idx):
-            drawn.append((omega_idx, nu_idx))
-            return draw(self, omega_idx, nu_idx)
-
-        monkeypatch.setattr(ReconCode, "v_codebook", counted)
-        reconcile(x, y, code, "ml")
-        bins = set(zip(omega.tolist(), alice_nu.tolist())) | set(
-            zip(omega.tolist(), bob_nu.tolist()))
-        assert sorted(drawn) == sorted(bins)
-        assert len(bins) < 2 * 300  # shared bins were drawn once
-
     def test_peak_memory_follows_chunk_budget(self):
         # the sim_short_blocks code (n = 8, ml): its 1,200 blocks unchunked
         # peaked at 12.7 MB. A chunk holds at most CHUNK_ELEMENTS / 2
@@ -869,14 +718,10 @@ class TestBatchedReconcile:
         # float32 counts and their bool window tests, next to one tile's
         # word one-hot of at most CHUNK_ELEMENTS / 8 float32 entries. The
         # under-rate code (n = 10, ml): one block's 11,586 candidates
-        # peaked at 1.35 MB before they were tiled. The nv3 code (n = 6,
-        # typicality): its V stages count 12 cells per candidate, more than
-        # its n symbols, so a chunk sized by n alone overruns the budget
+        # peaked at 1.35 MB before they were tiled
         for code, blocks, decoder in ((bsc_code(8), 1200, "ml"),
                                       (bsc_code(12), 40, "typicality"),
-                                      (under_rate_code(), 4, "ml"),
-                                      (_batch_code("nv3"), 600,
-                                       "typicality")):
+                                      (under_rate_code(), 4, "ml")):
             n = code.n
             x, y, _ = _blocks(n, blocks, seed=5)
             reconcile(x[:1], y[:1], code, decoder)
@@ -890,27 +735,18 @@ class TestBatchedReconcile:
 
     @pytest.mark.parametrize("blocks", [1200, 4800])
     @pytest.mark.parametrize("decoder", ["typicality", "ml"])
-    @pytest.mark.parametrize("name", ["no_v", "nv2", "nv3", "n12"])
+    @pytest.mark.parametrize("name", ["no_v", "n12"])
     def test_peak_memory_follows_stated_bound(self, name, decoder, blocks):
-        # README's bound: the chunk budget (8 CHUNK_ELEMENTS bytes), the V
-        # books the call holds (one byte per symbol) and the arrays with
-        # one entry per block: about ten 8-byte indices and scores and a
-        # few flags (at most 96 bytes), the int16 cell codes of its inputs
-        # with their scaled copies inside a scan, and its uint8 result rows
-        # (at most 16 bytes a symbol). The nv3 code at ml and 1,200 blocks
-        # peaked at 587,750 B, over the chunk budget alone; at 4,800
-        # blocks every case here is over 0.9 MB. The no-V n = 8 code holds
-        # one all-zero book and at ml and 4,800 blocks peaked at
-        # 1,067,208 B; the n = 12 code, whose encoder scans 4,096 words,
-        # at 1,201,580 B
+        # README's bound: the chunk budget (8 CHUNK_ELEMENTS bytes) and the
+        # arrays with one entry per block: about ten 8-byte indices and
+        # scores and a few flags (at most 96 bytes), and per symbol the
+        # int16 cell codes of Bob's scan, Alice's distinct x and the two
+        # uint8 result rows (at most 8 bytes a symbol). Each case here
+        # grows by 75-94 bytes a block from 4,800 to 19,200 blocks; at
+        # 4,800 blocks the no-V n = 8 code at ml peaked at 810,648 B and
+        # the n = 12 code, whose encoder scans 4,096 words, at 851,109 B
         code = bsc_code(12) if name == "n12" else _batch_code(name)
         x, y, _ = _blocks(code.n, blocks, seed=5)
-        omega, alice_nu, _ = _encode_alice(x, code)
-        bob_nu, _ = _decode_u(y, omega, code, decoder)
-        bins = set(zip(omega.tolist(), alice_nu.tolist())) | set(
-            zip(omega.tolist(), bob_nu.tolist()))
-        books = ((len(bins) if code.nv_size > 1 else 1)
-                 * code.w_k * code.w_l * code.n)
         reconcile(x[:1], y[:1], code, decoder)
         tracemalloc.start()
         try:
@@ -918,7 +754,7 @@ class TestBatchedReconcile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 8 * CHUNK + books + 16 * (code.n + 6) * blocks
+        bound = 8 * CHUNK + 8 * (code.n + 12) * blocks
         assert peak <= bound, (peak, bound)
 
     def test_batch_shapes_validated(self):
@@ -1145,32 +981,6 @@ class TestRunExperiment:
             run_experiment(j, TC_ID, ProtocolParams(
                 n=8, m=1, k=4, epsilon=0.15, trials=5, seed=0))
 
-    @pytest.mark.parametrize("decoder, want", [
-        ("typicality", dict(
-            p_e=0.38333333333333336, leakage_est=5.74022392894185,
-            leakage_bias=5.74022392894185,
-            leakage_null_sd=8.005932084973442e-16,
-            uniformity_est=2.25977607105815,
-            alice_encode_rate=0.24583333333333332, bob_decode_rate=0.0,
-            eve_match_rate=0.6166666666666667)),
-        ("ml", dict(
-            p_e=0.85, leakage_est=5.773557262275184,
-            leakage_bias=5.773557262275183,
-            leakage_null_sd=6.843874359417885e-16,
-            uniformity_est=2.226442737724817,
-            alice_encode_rate=0.24583333333333332, bob_decode_rate=1.0,
-            eve_match_rate=0.0)),
-    ])
-    def test_v_layer_metrics_frozen(self, decoder, want):
-        # V copies Y, so every block hashes U bits then V bits (N = 64);
-        # values frozen from a per-trial hash before trials were batched
-        v_copies_y = np.zeros((2, 2, 2))
-        v_copies_y[0, :, 0] = v_copies_y[1, :, 1] = 1.0
-        mets = run_experiment(J_BSC, TC_ID, ProtocolParams(
-            n=8, m=4, k=8, epsilon=0.15, trials=60, seed=3,
-            decoder=decoder), v_given_yu=v_copies_y)
-        assert mets == RunMetrics(trials=60, n_bits=64, **want)
-
     def test_hash_length_guard(self):
         # 2 * 3 symbols = 6 bits: no field of that size
         with pytest.raises(InfeasibleError):
@@ -1288,8 +1098,7 @@ def test_encoder_on_repeated_infeasible_and_untypical_blocks():
     # 512 rows, fewer than the 4,096 words of n = 12: under the identity
     # test channel a balanced x is feasible but typical only with itself,
     # which the codebook may not hold; an unbalanced x is infeasible
-    code = bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25,
-                                            r_v=0.0, r_v_prime=0.0))
+    code = bsc_code(12, seed=3, rates=Rates(r_u=0.5, r_u_prime=0.25))
     words = _all_words(2, 12).astype(np.uint8)
     balanced = words[words.sum(axis=1) == 6]
     held = np.isin(balanced @ (1 << np.arange(12)),

@@ -4,8 +4,8 @@ Every stage's scan goes through ``protocol._pick``; these tests wrap it and
 count, per stage, the blocks it is handed, the blocks that enter its scan
 (all of them for ML, those ``_feasible`` leaves for typicality) and the
 candidate rows it reads. Alice's encoder is handed each distinct source
-block once; a typicality block whose context type admits no typical joint
-type is not scanned; and a code without a V layer runs no V stage.
+block once; and a typicality block whose context type admits no typical
+joint type is not scanned.
 """
 
 from itertools import product
@@ -111,39 +111,6 @@ def test_typicality_decoders_scan_no_block_on_the_long_code(scans):
     for dec in (bob, eve):
         assert len(dec["blocks"]) == 40
         assert len(dec["scanned"]) == 0 and dec["rows"] == 0
-
-
-@pytest.mark.parametrize("decoder", ["typicality", "ml"])
-def test_no_v_layer_runs_no_v_stage(scans, decoder, monkeypatch):
-    code = ReconCode.generate(J, TestChannel.identity(2), n=8,
-                              epsilon=0.15, seed=3)
-    assert code.nv_size == 1
-    books = []
-    v_books = protocol._v_books
-    monkeypatch.setattr(protocol, "_v_books",
-                        lambda *a: books.append(a) or v_books(*a))
-    _, x, y, z = _workload(8, 8, 4, decoder, 20)
-    res = reconcile(x, y, code, decoder)
-    eve = _decode_bob(z, res.a_msg - 1, code, decoder)
-    assert not books
-    assert not _stage(scans, code.pmf_uyv) + _stage(scans, code.pmf_xuv)
-    assert len(scans) == 3  # the encoder, Bob's and Eve's U decodes
-    assert (res.b_msg == 1).all()
-    for v in (res.s_v, res.shat_v, eve[3]):
-        assert v.shape == x.shape and v.dtype == np.uint8 and not v.any()
-
-
-def test_v_layer_still_runs_both_v_stages(scans):
-    v = np.zeros((2, 2, 2))
-    v[0, :, 0] = v[1, :, 1] = 1.0
-    code = ReconCode.generate(J, TestChannel.identity(2), n=8, epsilon=0.15,
-                              seed=3, v_given_yu=v, rates=protocol.Rates(
-                                  r_u=1.0, r_u_prime=0.25, r_v=0.5,
-                                  r_v_prime=0.25))
-    _, x, y, _ = _workload(8, 8, 4, "ml", 20)
-    reconcile(x, y, code, "ml")
-    assert len(_stage(scans, code.pmf_uyv)) == 1
-    assert len(_stage(scans, code.pmf_xuv)) == 1
 
 
 def test_repeated_blocks_are_handed_in_once(scans):

@@ -58,10 +58,10 @@ buffer, so a draw holds its symbols and one chunk. The distinct U words
 and the lowest row of each come from a table indexed by the words'
 base-|U| keys, without a sort. The U codebook is drawn chunk by chunk
 only until every one of the |U|^n words has appeared and the rows reach
-the end of the bin holding the last word's first row (_draw_u_head).
-Every row a run reads lies in that head: Alice picks first rows, and Bob
-and Eve scan her published bin. The whole codebook is drawn only when a
-row past the head is read.
+the end of the bin holding the last word's first row (_draw_u_head);
+when some word never appears, that head is the whole codebook. The head
+is the only codebook a code holds, and every row a run reads lies in it:
+Alice picks first rows, and Bob and Eve scan her published bin.
 
 run_experiment draws trial t's source uniforms from the Philox stream
 keyed by SeedSequence(seed, spawn_key=(1, t)) and its hash seed from
@@ -83,7 +83,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -349,11 +348,13 @@ def _pick(ctx, ctx_size, table, start, width, pmf, ll, eps, decoder):
     row = np.zeros(len(ctx), dtype=np.intp)
     found = np.zeros(len(ctx), dtype=bool)
     best = np.full(len(ctx), -np.inf)
-    lo, hi = _count_windows(pmf, eps, n)
-    live = np.ones(len(ctx), dtype=bool) if decoder == "ml" \
-        else _feasible(ctx, ctx_size, lo, hi)  # still scanning
-    # exact in float32: the windows are integers
-    lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in (lo, hi))
+    if decoder == "ml":
+        live = np.ones(len(ctx), dtype=bool)  # still scanning
+    else:
+        lo, hi = _count_windows(pmf, eps, n)
+        live = _feasible(ctx, ctx_size, lo, hi)
+        # exact in float32: the windows are integers
+        lo, hi = (w.reshape(cells, 1).astype(np.float32) for w in (lo, hi))
     if start is None:
         tile = max(1, min(width, CHUNK_ELEMENTS // (8 * n * sym)))
         step = max(1, min(len(ctx), CHUNK_ELEMENTS // (cells * tile)))
@@ -420,8 +421,8 @@ def _group_rows(words, base):
     a column could overflow int64, and at the end if the keys span more
     than W values, they are replaced by their dense ranks (np.unique, a
     sort), which are below W. A table over the key span then takes each
-    key's lowest row with np.minimum.at, without a sort. The demo code's
-    176,334 binary rows of n = 12 span 4,096 keys and are never ranked; a
+    key's lowest row with np.minimum.at, without a sort. The demo's 8,000
+    binary source blocks of n = 12 span 4,096 keys and are never ranked; a
     wide alphabet or a batch of fewer than base^n rows is.
     """
     rows = words.shape[0]
@@ -444,19 +445,12 @@ def _group_rows(words, base):
     return np.flatnonzero(new), (np.cumsum(new) - 1)[lowest]
 
 
-def _distinct_rows(codebook, base):
-    """The distinct rows of a (W, n) symbol codebook and the lowest row
-    index holding each, both ordered by that index (_group_rows)."""
-    first, _ = _group_rows(codebook, base)
-    return codebook[first], first
-
-
 def _draw_u_head(rng, p_u, rows, n, w_nu):
     """(head, words, first_rows) of the (rows, n) U codebook that
     _draw_symbols(rng, p_u, (rows, n)) draws: its leading rows, up to the
     end of the w_nu-row bin holding the last distinct word's first row,
-    and the distinct words and the lowest row of each, as _distinct_rows
-    gives them.
+    and the distinct words and the lowest row of each, both ordered by
+    that row.
 
     The rows are drawn chunk by chunk, CHUNK_ELEMENTS symbols at a time,
     which is the same stream in the same order, and each chunk's rows are
@@ -464,13 +458,14 @@ def _draw_u_head(rng, p_u, rows, n, w_nu):
     has a first row, keying stops, and the draw stops at that bin's end.
     When not every word appears, the head is the whole codebook. When
     |U|^n exceeds the rows, not every word can appear: the codebook is
-    drawn whole and grouped by _distinct_rows, which ranks wide keys.
+    drawn whole and grouped by _group_rows, which ranks wide keys.
     """
     base = len(p_u)
     span = base ** n
     if span > rows:
         codebook = _draw_symbols(rng, p_u, (rows, n))
-        return (codebook,) + _distinct_rows(codebook, base)
+        first, _ = _group_rows(codebook, base)
+        return codebook, codebook[first], first
     step = max(1, min(rows, CHUNK_ELEMENTS // n))
     first = np.full(span, rows)  # lowest row of each key; rows: none yet
     chunks, firsts = [], []
@@ -512,14 +507,14 @@ class ReconCode:
 
     The U codebook (row r = pair (omega, nu) with r = omega * w_nu + nu,
     so row order is the lexicographic pair order) is drawn from stream
-    (seed, 0) in chunks, the bytes of Generator.choice. generate keeps
-    only its head (_draw_u_head): the whole bins up to the one holding the
-    last distinct word's first row, every row that a run reads. Next to it
-    sit the distinct words and the lowest row of each, which the encoder
-    scans for every distinct source block (_pick's shared case): at most
-    min(W, |U|^n) words instead of all W rows. u_codebook, all W rows, is
-    drawn on its first read and kept; u_rows gives the head whenever it
-    holds the bins asked for. Every typicality test uses the slack eps.
+    (seed, 0) in chunks, the bytes of Generator.choice. A code holds only
+    its head (_draw_u_head): the whole bins up to the one holding the last
+    distinct word's first row, or all W rows when some word never appears.
+    Every row a run reads lies in it: Alice picks a first row, and Bob and
+    Eve scan the bin she publishes. Next to it sit the distinct words and
+    the lowest row of each, which the encoder scans for every distinct
+    source block (_pick's shared case): at most min(W, |U|^n) words instead
+    of all W rows. Every typicality test uses the slack eps.
     """
 
     n: int
@@ -530,8 +525,8 @@ class ReconCode:
     w_nu: int
     tc_rows: np.ndarray
     p_u: np.ndarray                 # (nu,) pmf of the U codebook's symbols
-    u_head: np.ndarray              # (H, n) leading rows of u_codebook
-    u_words: np.ndarray             # (D, n) distinct rows of u_codebook
+    u_head: np.ndarray              # (H, n) leading rows of the codebook
+    u_words: np.ndarray             # (D, n) distinct words of the codebook
     u_first_rows: np.ndarray        # (D,) lowest row of each, increasing
     pmf_xu: np.ndarray              # flat typicality references
     pmf_yu: np.ndarray
@@ -540,22 +535,6 @@ class ReconCode:
     @property
     def nu_size(self):
         return self.tc_rows.shape[1]
-
-    @cached_property
-    def u_codebook(self):
-        """(w_u * w_nu, n) symbols of U: the head when it holds every row,
-        else the whole draw, made on the first read."""
-        rows = self.w_u * self.w_nu
-        if len(self.u_head) == rows:
-            return self.u_head
-        return _draw_symbols(_stream(self.seed, 0), self.p_u, (rows, self.n))
-
-    def u_rows(self, omega_idx):
-        """Rows of the U codebook holding the bins omega_idx: the head
-        when it reaches their end, else the whole codebook."""
-        if (int(np.max(omega_idx)) + 1) * self.w_nu <= len(self.u_head):
-            return self.u_head
-        return self.u_codebook
 
     @classmethod
     def generate(cls, j, tc_u, n, epsilon, seed, rates=None):
@@ -610,26 +589,28 @@ class ReconcileResult:
 
 
 def _encode_alice(x, code):
-    """(omega, nu, found) per block: the lowest codebook row whose word is
-    jointly typical with x; a miss picks word 0, the word of row 0. The
-    pick depends on x alone, so each distinct x is scanned once."""
+    """(row, found) per block: the lowest codebook row whose word is
+    jointly typical with x, a first row and so in the head; a miss picks
+    row 0. The pick depends on x alone, so each distinct x is scanned
+    once."""
     lead, nx = x.shape[:-1], code.tc_rows.shape[0]
     x = x.reshape(-1, code.n)
     first, inverse = _group_rows(x, nx)
     word, found = _pick(x[first], nx, code.u_words, None, len(code.u_words),
                         code.pmf_xu, None, code.eps, "typicality")
-    flat = code.u_first_rows[word[inverse]].reshape(lead)
-    return flat // code.w_nu, flat % code.w_nu, found[inverse].reshape(lead)
+    row = code.u_first_rows[word[inverse]].reshape(lead)
+    return row, found[inverse].reshape(lead)
 
 
 def _decode_bob(y, omega_idx, code, decoder):
-    """Bob's (shat_u, nu, found) per block: the word he picks within its
-    public bin omega. Also the eavesdropper's procedure when run on z."""
-    rows = code.u_rows(omega_idx)
-    nu_idx, found = _pick(y, code.ll_y_given_u.shape[0], rows,
-                          omega_idx * code.w_nu, code.w_nu, code.pmf_yu,
-                          code.ll_y_given_u, code.eps, decoder)
-    return rows[omega_idx * code.w_nu + nu_idx], nu_idx, found
+    """Bob's (shat_u, found) per block: the word he picks within its
+    public bin omega, which the head holds for every bin Alice publishes.
+    Also the eavesdropper's procedure when run on z."""
+    start = omega_idx * code.w_nu
+    nu_idx, found = _pick(y, code.ll_y_given_u.shape[0], code.u_head, start,
+                          code.w_nu, code.pmf_yu, code.ll_y_given_u,
+                          code.eps, decoder)
+    return code.u_head[start + nu_idx], found
 
 
 def reconcile(x, y, code, decoder="typicality"):
@@ -658,11 +639,11 @@ def reconcile(x, y, code, decoder="typicality"):
                 or seq.max() >= size:
             raise ParameterError(
                 f"{name} must hold integer symbols in [0, {size})")
-    omega_idx, nu_idx, alice_found = _encode_alice(x, code)
-    # the head: Alice picks first rows
-    s_u = code.u_rows(omega_idx)[omega_idx * code.w_nu + nu_idx]
-    shat_u, _, bob_found = _decode_bob(y, omega_idx, code, decoder)
-    return ReconcileResult(s_u=s_u, shat_u=shat_u, a_msg=omega_idx + 1,
+    row, alice_found = _encode_alice(x, code)
+    omega_idx = row // code.w_nu
+    shat_u, bob_found = _decode_bob(y, omega_idx, code, decoder)
+    return ReconcileResult(s_u=code.u_head[row], shat_u=shat_u,
+                           a_msg=omega_idx + 1,
                            alice_found=alice_found, bob_found=bob_found)
 
 
@@ -882,7 +863,7 @@ def run_experiment(j, tc_u, params):
     trials = params.trials
     x, y, z, hash_seeds = _trial_draws(j, params, n_bits)
     res = reconcile(x, y, code, params.decoder)
-    e_u, _, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
+    e_u, _ = _decode_bob(z, res.a_msg - 1, code, params.decoder)
     # symbols by trial, party (Alice, Bob, Eve), block; each block
     # contributes its U bits
     syms = np.stack([res.s_u, res.shat_u, e_u], axis=1)

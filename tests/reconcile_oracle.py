@@ -5,13 +5,36 @@ batch axes: one block per call. The functions are copied from that version
 as they were, less its second message (the V layer, since deleted), so a
 test can ask the batched library for the same indices and words, block for
 block; the per-cell float comparison of typicality sits in its own
-function, so a test can compare it with the integer count windows.
+function, so a test can compare it with the integer count windows. A
+code holds only the head of its U codebook; the oracle reads all W rows
+from u_codebook, drawn once per code.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from seqkey.errors import ParameterError
-from seqkey.protocol import _COUNT_FUZZ, ReconcileResult
+from seqkey.protocol import (
+    _COUNT_FUZZ,
+    ReconcileResult,
+    _draw_symbols,
+    _stream,
+)
+
+
+def u_codebook(code):
+    """All w_u * w_nu rows of the code's U codebook, read-only: the draw
+    whose leading rows are code.u_head."""
+    return _whole_draw(code.seed, code.p_u.tobytes(),
+                       code.w_u * code.w_nu, code.n)
+
+
+@lru_cache(maxsize=4)
+def _whole_draw(seed, p_u, rows, n):
+    book = _draw_symbols(_stream(seed, 0), np.frombuffer(p_u), (rows, n))
+    book.flags.writeable = False
+    return book
 
 
 def in_float_window(cnt, p, eps, n):
@@ -55,7 +78,7 @@ def decode_bob(y, omega_idx, code, decoder):
     """(shat_u, nu_idx, found) for one block; also the eavesdropper's
     procedure when run on z."""
     lo = omega_idx * code.w_nu
-    cand = code.u_codebook[lo:lo + code.w_nu]
+    cand = u_codebook(code)[lo:lo + code.w_nu]
     codes = y.astype(np.int16)[None, :] * code.nu_size + cand
     nu_idx, found = pick(codes, code.pmf_yu, code.ll_y_given_u,
                          code.eps, code.n, decoder)
@@ -73,7 +96,7 @@ def reconcile(x, y, code, decoder="typicality"):
         raise ParameterError(
             f"x and y must be length-{code.n} sequences")
     omega_idx, nu_idx, alice_found = encode_alice(x, code)
-    s_u = code.u_codebook[omega_idx * code.w_nu + nu_idx]
+    s_u = u_codebook(code)[omega_idx * code.w_nu + nu_idx]
     shat_u, _, bob_found = decode_bob(y, omega_idx, code, decoder)
     return ReconcileResult(
         s_u=s_u, shat_u=shat_u, a_msg=omega_idx + 1,

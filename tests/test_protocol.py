@@ -192,9 +192,10 @@ class TestReconCode:
         assert np.array_equal(code.u_first_rows, first)
         head = len(code.u_head)
         assert np.array_equal(code.u_head, book[:head])
-        if name in CHOICE_CODES:
+        if name in CHOICE_CODES:  # all drawn from J_BSC's X
+            p_u = J_BSC.marginal((0,)) @ code.tc_rows
             want = _stream(code.seed, 0).choice(
-                code.nu_size, (rows, code.n), p=code.p_u).astype(np.uint8)
+                code.nu_size, (rows, code.n), p=p_u).astype(np.uint8)
             assert np.array_equal(code.u_head, want[:head])
         # whole bins up to the one holding the last first row, or every
         # row when some word never appears
